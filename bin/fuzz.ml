@@ -959,11 +959,7 @@ let read_lines path =
    flag, i.e. the generation --dict holds) is refused with an error
    rather than replayed against the wrong dictionary. *)
 let run_replay ~replay_file ~dict_file ~expected_gen =
-  let entities =
-    List.filter_map
-      (fun l -> match String.trim l with "" -> None | e -> Some e)
-      (read_lines dict_file)
-  in
+  let entities = Core.Problem.entities_of_source (Dict dict_file) in
   let records = read_lines replay_file in
   let failures = ref 0 in
   (* Generation gate: a record captured under a different dictionary

@@ -137,14 +137,6 @@ type t = {
 
 let generation t = t.generation
 
-let span_compare (a : Types.char_match) (b : Types.char_match) =
-  match compare a.Types.c_start b.Types.c_start with
-  | 0 -> (
-      match compare a.Types.c_len b.Types.c_len with
-      | 0 -> compare a.Types.c_entity b.Types.c_entity
-      | c -> c)
-  | c -> c
-
 let deadline_in_ms ms =
   Int64.add (Trace.now_ns ()) (Int64.of_int (ms * 1_000_000))
 
@@ -928,7 +920,7 @@ let submit t ?id ?timeout_ms ?stages_out ~doc text =
   if !usable = [] then
     Outcome.Failed (match List.rev !errors with e :: _ -> e | [] -> assert false)
   else begin
-    let ms = List.sort span_compare (List.concat (List.rev !usable)) in
+    let ms = List.sort Types.compare_span (List.concat (List.rev !usable)) in
     match List.rev !missing with
     | [] -> (
         match !first_deg with

@@ -161,6 +161,10 @@ val live_count : t -> int
 (** Live dictionary size: snapshot entities minus tombstones plus
     dynamic adds. *)
 
+val live_entities : t -> string array
+(** Every live raw entity in global id order — the dictionary a fresh
+    snapshot of the cluster's current state would hold. *)
+
 val entity_raw : t -> int -> string option
 (** The raw string behind a global entity id, [None] if out of range or
     tombstoned. Resolves both snapshot and dynamically added ids —

@@ -111,6 +111,32 @@ let of_index ~sim ?(lazy_bound = `Exact) index =
   let q = match mode with Tk.Document.Gram qq -> qq | Tk.Document.Word -> 1 in
   assemble ~sim ~q ~lazy_bound dict index
 
+type source = Dict of string | Index of string
+
+let read_lines path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rec loop acc =
+        match input_line ic with
+        | line -> (
+            match String.trim line with "" -> loop acc | l -> loop (l :: acc))
+        | exception End_of_file -> List.rev acc
+      in
+      loop [])
+
+let entities_of_source = function
+  | Dict path -> read_lines path
+  | Index path ->
+      let dict, _ = Ix.Codec.load path in
+      Array.to_list
+        (Array.map (fun e -> e.Ix.Entity.raw) (Ix.Dictionary.entities dict))
+
+let load ~sim ~q = function
+  | Dict path -> create ~sim ~q (read_lines path)
+  | Index path -> of_index ~sim (snd (Ix.Codec.load path))
+
 let sim t = t.sim
 
 let q t = t.q

@@ -55,6 +55,20 @@ val of_index :
 
     @raise Invalid_argument on an invalid threshold or incompatible mode. *)
 
+type source =
+  | Dict of string  (** dictionary file: one entity per line *)
+  | Index of string  (** snapshot written by {!Faerie_index.Codec.save} *)
+
+val entities_of_source : source -> string list
+(** The raw entities a source holds, in id order (dictionary lines are
+    trimmed; blank lines are skipped). *)
+
+val load : sim:Faerie_sim.Sim.t -> q:int -> source -> t
+(** {!create} over a dictionary file, or {!of_index} over a saved index
+    (whose own gram length overrides [q]).
+    @raise Sys_error, {!Faerie_index.Codec.Corrupt} or
+    {!Faerie_index.Codec.Truncated} when the file cannot be read. *)
+
 val sim : t -> Faerie_sim.Sim.t
 
 val q : t -> int

@@ -60,33 +60,19 @@ val response_json :
 val summary_json :
   ?metrics:Faerie_obs.Metrics.snapshot ->
   ?slo:string ->
+  ?extra:(string * int) list ->
   reloads:int ->
   Outcome.summary ->
   string
 (** Final stderr line: {!Outcome.summary_to_json} extended with the
-    hot-reload count, and — when [metrics] is given — a trailing
+    hot-reload count, then the [extra] integer fields in order (a
+    [--shards N] server adds its cluster accounting: ["shards"],
+    ["shard_restarts"], ["shard_timeouts"], ["docs_partial"],
+    ["quarantined_pairs"]), and — when [metrics] is given — a trailing
     ["metrics"] object in the {!snapshot_json} display schema so smoke
     jobs can assert counters straight off the summary. [slo] is a
     pre-rendered {!Faerie_obs.Slo.to_json} assessment spliced in as an
     ["slo"] object. *)
-
-val cluster_summary_json :
-  ?metrics:Faerie_obs.Metrics.snapshot ->
-  ?slo:string ->
-  reloads:int ->
-  shards:int ->
-  shard_restarts:int ->
-  shard_timeouts:int ->
-  docs_partial:int ->
-  quarantined_pairs:int ->
-  Outcome.summary ->
-  string
-(** Final stderr line of a [--shards N] server: {!summary_json} further
-    extended with cluster accounting (shard processes restarted, per-shard
-    deadline misses, documents that degraded to
-    {!Outcome.degradation.Shard_partial}, and (doc, shard) pairs written
-    to the dead-letter file). [metrics] as in {!summary_json} (there it is
-    the cluster-merged snapshot). *)
 
 (** {1 Metrics snapshot codec}
 
@@ -194,10 +180,11 @@ val compact_response_json : gen:int -> folded:int -> entities:int -> string
     mutations) was folded into a durable generation-[gen] snapshot of
     [entities] live entities and the WAL truncated. *)
 
-val admin_error_json : op:string -> string -> string
+val admin_error_json : ?op:string -> string -> string
 (** Failure line for an admin op (WAL append rejected, compaction aborted,
     mutations not armed): [{"v":1,"op":OP,"outcome":"error","error":MSG}];
-    the dictionary is untouched. *)
+    the dictionary is untouched. Without [op] (an admin line that did not
+    parse), the ["op"] field is left out. *)
 
 val slowlog_response_json : total:int -> string list -> string
 (** Response line for [{"op":"slowlog"}]:

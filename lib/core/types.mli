@@ -40,6 +40,11 @@ type char_match = {
     align to gram positions). *)
 
 val compare_char_match : char_match -> char_match -> int
+(** Orders by (entity, start, len); score ignored. *)
+
+val compare_span : char_match -> char_match -> int
+(** Orders by (start, len, entity); score ignored. The match order of every
+    [faerie serve] response, whatever the shard count. *)
 
 type stats = {
   mutable entities_seen : int;

@@ -773,6 +773,138 @@ let test_dict_cli_offline_compact () =
       check_bool "folded entity matches" true
         (has_match {|"outcome":"ok".*"matches":\[{"e":|} out))
 
+(* One response contract for every shard count: the same stream — clean
+   documents, a malformed line, health, WAL-backed dict_add/dict_remove
+   and an --index compaction — must produce the same bytes under
+   --shards 0, 1 and 4, outside the per-mode fields of health (the shard
+   array, uptime and peak RSS). Responses come back in request order and
+   matches in span order; a document queued before a dict_add never sees
+   the added entity. *)
+let test_serve_shard_count_identity () =
+  with_temp_dir (fun dir ->
+      let dict = paper_dict_file dir in
+      let doc =
+        {|{"text":"surauijt chadhuri and venkaee shga met kaushik chakrabarti"}|}
+      in
+      let probe = {|{"text":"a talk by dong xin today"}|} in
+      let input = Filename.concat dir "input.ndjson" in
+      write_file input
+        (String.concat "\n"
+           [
+             doc; probe; "this is not json"; {|{"op":"health"}|};
+             {|{"op":"dict_add","entity":"dong xin"}|}; probe;
+             {|{"op":"dict_remove","entity":"venkatesh"}|}; doc;
+             {|{"op":"compact"}|}; {|{"op":"health"}|}; probe; doc;
+           ]
+        ^ "\n");
+      let mask =
+        Str.global_replace
+          (Str.regexp
+             {|"shards":\[.*\],"uptime_s":[-+.e0-9]*,"max_rss_bytes":[-+.e0-9]*|})
+          "MASKED"
+      in
+      let serve shards =
+        let idx = Filename.concat dir (Printf.sprintf "s%d.fidx" shards) in
+        let wal = Filename.concat dir (Printf.sprintf "s%d.wal" shards) in
+        let status, _ =
+          run_cli [ "index"; "-d"; dict; "-s"; "ed=2"; "-q"; "2"; "-o"; idx ]
+        in
+        check_int "index build exit 0" 0 (exit_code status);
+        let status, out, _ =
+          run_cli_io ~dir ~stdin_file:input
+            [
+              "serve"; "-x"; idx; "-s"; "ed=2"; "-q"; "2"; "--domains"; "2";
+              "--shards"; string_of_int shards; "--wal"; wal;
+            ]
+        in
+        check_int "serve exit 0" 0 (exit_code status);
+        List.map mask out
+      in
+      let local = serve 0 in
+      check_int "one response per line" 12 (List.length local);
+      let nth i = [ List.nth local i ] in
+      check_bool "request order: the decode error is third" true
+        (has_match {|"doc":2,"v":1,"outcome":"error"|} (nth 2));
+      check_bool "probe before the add finds nothing" true
+        (has_match {|"matches":\[\]|} (nth 1));
+      check_bool "probe after the add matches the fresh id" true
+        (has_match {|"matches":\[{"e":5,|} (nth 5));
+      check_bool "compaction folds both mutations" true
+        (has_match
+           {|"op":"compact","outcome":"ok","gen":1,"folded":2,"entities":5|}
+           (nth 8));
+      check_bool "documents after the compaction carry its generation" true
+        (has_match {|"gen":1|} (nth 10));
+      (* Span order: start offsets never decrease within a response. *)
+      let starts line =
+        let re = Str.regexp {|"s":\([0-9]+\)|} in
+        let rec go pos acc =
+          match Str.search_forward re line pos with
+          | p -> go (p + 1) (int_of_string (Str.matched_group 1 line) :: acc)
+          | exception Not_found -> List.rev acc
+        in
+        go 0 []
+      in
+      let rec sorted = function
+        | a :: (b :: _ as rest) -> a <= b && sorted rest
+        | _ -> true
+      in
+      check_bool "matches in span order" true
+        (List.for_all (fun l -> sorted (starts l)) local);
+      check_bool "a multi-match document" true
+        (List.length (starts (List.nth local 0)) > 1);
+      List.iter
+        (fun shards ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "--shards %d == --shards 0" shards)
+            local (serve shards))
+        [ 1; 4 ])
+
+(* A quarantine record names the generation that served the document: a
+   poison document after a hot reload is stamped gen 1, so fuzz --replay
+   checks it against the right snapshot. *)
+let test_serve_quarantine_gen_after_reload () =
+  with_temp_dir (fun dir ->
+      let dict = paper_dict_file dir in
+      let idx = Filename.concat dir "dict.fidx" in
+      let quarantine = Filename.concat dir "quarantine.ndjson" in
+      let status, _ =
+        run_cli [ "index"; "-d"; dict; "-s"; "ed=2"; "-q"; "2"; "-o"; idx ]
+      in
+      check_int "index build exit 0" 0 (exit_code status);
+      let cmd =
+        Printf.sprintf "%s 2>/dev/null"
+          (Filename.quote_command cli
+             [
+               "serve"; "-x"; idx; "-s"; "ed=2"; "--domains"; "1";
+               "--retries"; "0"; "--backoff-ms"; "0";
+               "--quarantine"; quarantine;
+               "--inject"; "7:supervisor_worker=1.0";
+             ])
+      in
+      let out, inp = Unix.open_process cmd in
+      output_string inp "{\"text\":\"surauijt chadhuri\"}\n";
+      flush inp;
+      ignore (input_line out);
+      let future = Unix.gettimeofday () +. 10. in
+      Unix.utimes idx future future;
+      output_string inp "{\"text\":\"venkaee shga\"}\n";
+      flush inp;
+      let r2 = input_line out in
+      close_out inp;
+      check_int "serve exit 0" 0 (exit_code (Unix.close_process (out, inp)));
+      check_bool "second document served by generation 1" true
+        (has_match {|"gen":1,"outcome":"quarantined"|} [ r2 ]);
+      match read_lines quarantine with
+      | [ r0; r1 ] ->
+          check_bool "first record stamped gen 0" true
+            (has_match {|"gen":0|} [ r0 ]);
+          check_bool "record after the reload stamped gen 1" true
+            (has_match {|"gen":1|} [ r1 ])
+      | l ->
+          Alcotest.failf "expected 2 quarantine records, got %d"
+            (List.length l))
+
 (* Replay refuses a record captured under a different dictionary
    generation: the text would extract against the wrong dictionary and
    prove nothing. --gen declares which generation --dict holds. *)
@@ -864,6 +996,8 @@ let () =
             test_serve_admin_ops;
           Alcotest.test_case "periodic stats interval" `Quick
             test_serve_stats_interval;
+          Alcotest.test_case "byte-identical across shard counts" `Quick
+            test_serve_shard_count_identity;
         ] );
       ( "mutation",
         [
@@ -873,5 +1007,7 @@ let () =
             test_dict_cli_offline_compact;
           Alcotest.test_case "replay generation gate" `Quick
             test_fuzz_replay_gen_gate;
+          Alcotest.test_case "quarantine gen after reload" `Quick
+            test_serve_quarantine_gen_after_reload;
         ] );
     ]

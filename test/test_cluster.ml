@@ -26,6 +26,7 @@ module Budget = Faerie_util.Budget
 module Xorshift = Faerie_util.Xorshift
 module Metrics = Faerie_obs.Metrics
 module Trace = Faerie_obs.Trace
+module Serve = Core.Serve
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -526,6 +527,106 @@ let cluster_config ?(pool_retries = 1) ~shards ~retries () =
     retry = { Supervisor.default_retry with retries; backoff_ms = 0 };
   }
 
+let with_temp_dir f =
+  let dir = Filename.temp_file "faerie-serve-" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun e -> Sys.remove (Filename.concat dir e))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let serve_sim = Sim.Edit_distance 2
+
+let serve_config ~source ?wal ?inject ~shards () =
+  {
+    Serve.sim = serve_sim;
+    q = 2;
+    source;
+    pruning = Types.Binary_window;
+    pool =
+      {
+        Supervisor.domains = 2;
+        retry = { Supervisor.default_retry with retries = 8; backoff_ms = 0 };
+        queue_capacity = 8;
+        quarantine = None;
+        shed = false;
+        shard = None;
+      };
+    timeout_ms = None;
+    max_doc_bytes = None;
+    shards;
+    shard_timeout_ms = None;
+    metrics_format = `Jsonl;
+    stats_interval_s = 0;
+    trace_sample_rate = 0.;
+    trace_seed = 0;
+    slow_ms = None;
+    slowlog = None;
+    slowlog_k = 8;
+    slo = Faerie_obs.Slo.none;
+    wal;
+    inject;
+  }
+
+(* Run [Serve.run] in a forked child, so this process never starts a
+   domain (the local backend starts two; later tests fork). Segments are
+   sent one at a time: every response of a segment is read back before
+   the index mtime moves forward, so the child reloads exactly between
+   two segments. Returns the response lines and the stderr summary. *)
+let serve_segments ~dir config segments =
+  let err = Filename.concat dir "stderr.txt" in
+  let in_r, in_w = Unix.pipe () in
+  let out_r, out_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close in_w;
+      Unix.close out_r;
+      let fd =
+        Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+      in
+      Unix.dup2 fd Unix.stderr;
+      let code =
+        try Serve.run ~input:in_r ~output:out_w config
+        with e ->
+          prerr_endline (Printexc.to_string e);
+          3
+      in
+      Unix._exit code
+  | pid ->
+      Unix.close in_r;
+      Unix.close out_w;
+      let oc = Unix.out_channel_of_descr in_w in
+      let ic = Unix.in_channel_of_descr out_r in
+      let out = ref [] in
+      List.iteri
+        (fun i seg ->
+          (match config.Serve.source with
+          | Core.Problem.Index idx when i > 0 ->
+              let t = Unix.gettimeofday () +. float_of_int (100 * i) in
+              Unix.utimes idx t t
+          | _ -> ());
+          List.iter (fun l -> output_string oc (l ^ "\n")) seg;
+          flush oc;
+          List.iter (fun _ -> out := input_line ic :: !out) seg)
+        segments;
+      close_out oc;
+      let _, status = Unix.waitpid [] pid in
+      close_in ic;
+      check_bool "serve exits 0" true (status = Unix.WEXITED 0);
+      let ic = open_in err in
+      let rec last acc =
+        match input_line ic with l -> last l | exception End_of_file -> acc
+      in
+      let summary = last "" in
+      close_in ic;
+      (List.rev !out, summary)
+
+let ndjson fields = Faerie_util.Json.(to_string (Obj fields))
+
 let docs = [| paper_doc; "chaudhuri venkatesh"; ""; "zzz qqq"; paper_doc |]
 
 let clean_baseline () =
@@ -550,6 +651,29 @@ let test_merge_determinism_clean () =
   in
   let one = run 1 and four = run 4 in
   check_bool "1-shard == 4-shard merge" true (one = four);
+  (* The local serve backend (--shards 0) answers with exactly the
+     responses the merge implies: same matches, same span order. *)
+  let local =
+    with_temp_dir (fun dir ->
+        let dict = Filename.concat dir "dict.txt" in
+        let oc = open_out dict in
+        List.iter (fun e -> output_string oc (e ^ "\n")) paper_dict;
+        close_out oc;
+        fst
+          (serve_segments ~dir
+             (serve_config ~source:(Core.Problem.Dict dict) ~shards:0 ())
+             [
+               Array.to_list
+                 (Array.map (fun d -> ndjson [ ("text", Str d) ]) docs);
+             ]))
+  in
+  Alcotest.(check (list string))
+    "local serve == cluster merge"
+    (Array.to_list
+       (Array.mapi
+          (fun ord out -> Serve_proto.response_json ~ord ~id:None ~gen:0 out)
+          one))
+    local;
   Array.iteri
     (fun i out ->
       match (out, baseline.(i)) with
@@ -868,6 +992,257 @@ let test_clock_isolation_across_fork () =
       check_bool "parent keeps its injected clock" true
         (Int64.compare (Trace.now_ns ()) 1_000L < 0))
 
+(* ------------------------------------------------------------------ *)
+(* Serve loop: one response contract over both backends                *)
+(* ------------------------------------------------------------------ *)
+
+(* The stream a model test drives: a reload has no line of its own — it
+   splits the stream into segments. *)
+type op =
+  | Doc of string
+  | Malformed
+  | Add of string
+  | Remove of string
+  | Compact
+  | Reload
+  | Health
+
+let line_of = function
+  | Doc text -> ndjson [ ("text", Faerie_util.Json.Str text) ]
+  | Malformed -> "this is not json"
+  | Add raw -> ndjson [ ("op", Str "dict_add"); ("entity", Str raw) ]
+  | Remove raw -> ndjson [ ("op", Str "dict_remove"); ("entity", Str raw) ]
+  | Compact -> {|{"op":"compact"}|}
+  | Health -> {|{"op":"health"}|}
+  | Reload -> assert false
+
+(* A reload needs a line before and after it to be observable; drop the
+   rest (leading, trailing, back-to-back). *)
+let segments_of ops =
+  let segs, cur =
+    List.fold_left
+      (fun (segs, cur) op ->
+        match op with
+        | Reload when cur = [] -> (segs, cur)
+        | Reload -> (List.rev cur :: segs, [])
+        | op -> (segs, op :: cur))
+      ([], []) ops
+  in
+  List.rev (if cur = [] then segs else List.rev cur :: segs)
+
+(* The pure reference model: the live dictionary with its global ids
+   (adds numbered past every id ever issued, compaction renumbering
+   densely), the generation, and the mutations since the serving
+   snapshot. A document's answer is Naive over the live entities, in span
+   order. *)
+type model = {
+  mutable ents : string array;
+  mutable dead : int list;
+  mutable gen : int;
+  mutable applied : int;
+  mutable ord : int;
+}
+
+let live m =
+  List.filter
+    (fun i -> not (List.mem i m.dead))
+    (List.init (Array.length m.ents) Fun.id)
+
+let live_id m raw = List.find_opt (fun i -> m.ents.(i) = raw) (live m)
+
+let naive_matches m text =
+  let ids = Array.of_list (live m) in
+  if ids = [||] then []
+  else
+    let p =
+      Core.Problem.create ~sim:serve_sim ~q:2
+        (Array.to_list (Array.map (fun i -> m.ents.(i)) ids))
+    in
+    Faerie_baselines.Naive.extract ~length_filtered:true p
+      (Core.Problem.tokenize_document p text)
+    |> List.map (fun (cm : Types.char_match) ->
+           { cm with Types.c_entity = ids.(cm.Types.c_entity) })
+    |> List.sort Types.compare_span
+
+(* The expected response to one op, [None] for health (its fields are
+   per-mode). *)
+let model_step m op =
+  let next_ord () =
+    let o = m.ord in
+    m.ord <- o + 1;
+    o
+  in
+  let dict op ~applied ~entity =
+    if applied then m.applied <- m.applied + 1;
+    Some
+      (Serve_proto.dict_response_json ~op ~applied ~entity
+         ~entities:(List.length (live m)) ~gen:m.gen)
+  in
+  match op with
+  | Doc text ->
+      let ord = next_ord () in
+      Some
+        (Serve_proto.response_json ~ord ~id:None ~gen:m.gen
+           (Outcome.Ok (naive_matches m text)))
+  | Malformed -> (
+      let ord = next_ord () in
+      match Serve_proto.parse_request ~ord (line_of Malformed) with
+      | Error e -> Some (Serve_proto.error_json ~ord e)
+      | Ok _ -> assert false)
+  | Add raw -> (
+      match live_id m raw with
+      | Some id -> dict "dict_add" ~applied:false ~entity:id
+      | None ->
+          m.ents <- Array.append m.ents [| raw |];
+          dict "dict_add" ~applied:true ~entity:(Array.length m.ents - 1))
+  | Remove raw -> (
+      match live_id m raw with
+      | Some id ->
+          m.dead <- id :: m.dead;
+          dict "dict_remove" ~applied:true ~entity:id
+      | None -> dict "dict_remove" ~applied:false ~entity:(-1))
+  | Compact ->
+      let folded = m.applied in
+      m.ents <- Array.of_list (List.map (fun i -> m.ents.(i)) (live m));
+      m.dead <- [];
+      m.gen <- m.gen + 1;
+      m.applied <- 0;
+      Some
+        (Serve_proto.compact_response_json ~gen:m.gen ~folded
+           ~entities:(Array.length m.ents))
+  | Health -> None
+  | Reload ->
+      (* Index + WAL re-applied in order: the same live set and ids. *)
+      m.gen <- m.gen + 1;
+      None
+
+let entity_pool =
+  [|
+    "kaushik ch"; "chakrabarti"; "chaudhuri"; "venkatesh"; "surajit ch";
+    "dong xin"; "data mining"; "sigmod conf"; "vldb journal"; "entity match";
+  |]
+
+let base_entities = Array.to_list (Array.sub entity_pool 0 5)
+
+(* Serve [ops] through a fresh index + WAL under [shards] and check every
+   response line, in order, against the model. *)
+let check_serve_model ?inject ~shards ops =
+  with_temp_dir (fun dir ->
+      let idx = Filename.concat dir "dict.fidx" in
+      let p = Core.Problem.create ~sim:serve_sim ~q:2 base_entities in
+      Faerie_index.Codec.save (Core.Problem.dictionary p) (Core.Problem.index p)
+        idx;
+      let config =
+        serve_config ~source:(Core.Problem.Index idx)
+          ~wal:(Filename.concat dir "dict.wal") ?inject ~shards ()
+      in
+      let segs = segments_of ops in
+      let out, summary =
+        serve_segments ~dir config (List.map (List.map line_of) segs)
+      in
+      let m =
+        {
+          ents = Array.of_list base_entities;
+          dead = [];
+          gen = 0;
+          applied = 0;
+          ord = 0;
+        }
+      in
+      let want =
+        List.concat
+          (List.mapi
+             (fun i seg ->
+               if i > 0 then ignore (model_step m Reload);
+               List.map (model_step m) seg)
+             segs)
+      in
+      let docs =
+        List.length
+          (List.filter (function Doc _ -> true | _ -> false) (List.concat segs))
+      in
+      let tag = Printf.sprintf "shards=%d" shards in
+      check_int (tag ^ ": one response per line") (List.length want)
+        (List.length out);
+      List.iter2
+        (fun want got ->
+          match want with
+          | Some w -> check_string (tag ^ ": response") w got
+          | None ->
+              check_bool (tag ^ ": health") true
+                (String.starts_with ~prefix:{|{"v":1,"op":"health"|} got))
+        want out;
+      check_bool (tag ^ ": summary counts every document") true
+        (String.starts_with
+           ~prefix:(Printf.sprintf {|{"docs":%d,"ok":%d,|} docs docs)
+           summary))
+
+let gen_op =
+  let open QCheck.Gen in
+  let raw = map (fun i -> entity_pool.(i)) (int_bound 9) in
+  let mention =
+    map3
+      (fun raw edit pos ->
+        let n = String.length raw in
+        let pos = pos mod n in
+        match edit with
+        | 0 -> String.sub raw 0 pos ^ String.sub raw (pos + 1) (n - pos - 1)
+        | 1 -> String.mapi (fun i c -> if i = pos then 'x' else c) raw
+        | _ -> raw)
+      raw (int_bound 3) (int_bound 20)
+  in
+  let word = oneofl [ "and"; "by"; "the talk"; "at"; "zzz" ] in
+  let text =
+    map (String.concat " ")
+      (list_size (int_range 1 4) (frequency [ (2, mention); (1, word) ]))
+  in
+  frequency
+    [
+      (6, map (fun t -> Doc t) text);
+      (1, return Malformed);
+      (2, map (fun r -> Add r) raw);
+      (2, map (fun r -> Remove r) raw);
+      (1, return Compact);
+      (1, return Reload);
+      (1, return Health);
+    ]
+
+let show_op = function
+  | Reload -> "<reload>"
+  | op -> line_of op
+
+(* Model-based test of the serve contract: random interleavings of documents,
+   malformed lines, dict_add/dict_remove, compact and reload, served by
+   the local backend (2 domains) and by a 1–4 shard cluster whose shards
+   are killed at random (shard_frame faults, retried to convergence). *)
+let qcheck_serve_model =
+  QCheck.Test.make ~count:30 ~name:"serve: local and cluster == Naive model"
+    QCheck.(
+      triple
+        (make ~print:(fun ops -> String.concat "\n" (List.map show_op ops))
+           Gen.(list_size (int_range 1 24) gen_op))
+        (int_range 1 4) small_nat)
+    (fun (ops, shards, seed) ->
+      check_serve_model ~shards:0 ops;
+      check_serve_model ~shards
+        ~inject:{ Fault.seed; rates = [ ("shard_frame", 0.2) ] }
+        ops;
+      true)
+
+(* Mutation visibility under real parallelism: documents still queued on
+   two domains when a dict_add arrives must not see the added entity; the
+   document after it must. *)
+let test_serve_add_after_queued_docs () =
+  let mention =
+    Doc
+      (String.concat " "
+         (List.init 150 (fun i ->
+              if i mod 10 = 0 then "dong xin" else "chaudhuri venkatesh")))
+  in
+  check_serve_model ~shards:0
+    (List.init 20 (fun _ -> mention)
+    @ [ Add "dong xin"; mention; Remove "dong xin"; mention ])
+
 let () =
   Alcotest.run "faerie_cluster"
     [
@@ -907,6 +1282,12 @@ let () =
           Alcotest.test_case "two-phase reload" `Quick test_reload_generation;
           Alcotest.test_case "submit after shutdown" `Quick
             test_submit_after_shutdown;
+        ] );
+      ( "serve",
+        [
+          Alcotest.test_case "dict_add after queued documents" `Quick
+            test_serve_add_after_queued_docs;
+          QCheck_alcotest.to_alcotest qcheck_serve_model;
         ] );
       ( "observability",
         [
