@@ -42,6 +42,19 @@ module Fault = Faerie_util.Fault
 module Ix = Faerie_index
 module Parallel = Core.Parallel
 module Outcome = Core.Outcome
+module Supervisor = Core.Supervisor
+
+(* A two-domain batch with no retry: every contained failure surfaces as
+   the outcome of its one attempt, keyed by the document's batch index. *)
+let batch problem docs =
+  Supervisor.run_batch
+    ~config:
+      {
+        Supervisor.default_config with
+        domains = 2;
+        retry = { Supervisor.default_retry with retries = 0; backoff_ms = 0 };
+      }
+    problem docs
 
 let alphabet = [| 'a'; 'b'; 'c' |]
 
@@ -248,9 +261,9 @@ let run_fault_campaign iterations seed =
     | problem -> (
         (* Baseline with injection disabled, then the same batch armed. *)
         Fault.disarm ();
-        let baseline, _ = Parallel.extract_all_outcomes ~domains:2 problem docs in
+        let baseline, _ = batch problem docs in
         Fault.configure { Fault.seed = mix_seed seed i; rates = fault_rates };
-        (match Parallel.extract_all_outcomes ~domains:2 problem docs with
+        (match batch problem docs with
         | outcomes, _ ->
             Array.iteri
               (fun j outcome ->
@@ -318,7 +331,6 @@ let run_fault_campaign iterations seed =
 
 (* ---- supervised-pool campaign (part of --faults) ---- *)
 
-module Supervisor = Core.Supervisor
 module Serve_proto = Core.Serve_proto
 module Extractor = Core.Extractor
 module Metrics = Faerie_obs.Metrics
@@ -363,7 +375,7 @@ let run_supervisor_campaign iterations seed =
     (match Problem.create ~sim:inst.sim ~q:inst.q inst.entities with
     | problem -> (
         Fault.disarm ();
-        let baseline, _ = Parallel.extract_all_outcomes ~domains:2 problem docs in
+        let baseline, _ = batch problem docs in
         Fault.configure
           { Fault.seed = mix_seed seed i; rates = supervisor_rates };
         (match Supervisor.run_batch ~config problem docs with
@@ -564,7 +576,7 @@ let run_cluster_campaign iterations seed =
               { Supervisor.default_retry with retries = 3; backoff_ms = 0 };
             shard_timeout_ms = None;
             pruning = Types.Binary_window;
-            budget = Faerie_util.Budget.spec_unlimited;
+            budget = Faerie_core.Budget.spec_unlimited;
             snapshot_dir = None;
             slow_stages = false;
           }
@@ -780,7 +792,7 @@ let random_slowrec rng =
     pruning = Xorshift.choose rng prunings;
     budget =
       {
-        Faerie_util.Budget.timeout_ms = opt (fun () -> Xorshift.int rng 10_000);
+        Faerie_core.Budget.timeout_ms = opt (fun () -> Xorshift.int rng 10_000);
         max_bytes = opt (fun () -> Xorshift.int rng 100_000);
         max_candidates = opt (fun () -> Xorshift.int rng 1_000);
       };

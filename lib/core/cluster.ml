@@ -1,4 +1,3 @@
-module Budget = Faerie_util.Budget
 module Fault = Faerie_util.Fault
 module Dynarray = Faerie_util.Dynarray
 module Sim = Faerie_sim.Sim

@@ -51,7 +51,7 @@ type config = {
           the shard. [None] waits indefinitely (trust the per-document
           budget inside the shard). *)
   pruning : Types.pruning;
-  budget : Faerie_util.Budget.spec;  (** base per-document budget *)
+  budget : Budget.spec;  (** base per-document budget *)
   snapshot_dir : string option;
       (** where per-shard index snapshots live; [None] uses a private
           temp directory removed on shutdown *)

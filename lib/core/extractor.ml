@@ -3,7 +3,6 @@ module S = Faerie_sim
 module Ix = Faerie_index
 module Heaps = Faerie_heaps
 module Fault = Faerie_util.Fault
-module Budget = Faerie_util.Budget
 module Metrics = Faerie_obs.Metrics
 module Trace = Faerie_obs.Trace
 module Prof = Faerie_obs.Prof

@@ -66,7 +66,7 @@ val results_of_char_matches :
   Faerie_tokenize.Document.t ->
   Types.char_match list ->
   result list
-(** Render raw character matches (from {!Topk}, {!Span_select},
+(** Render raw character matches (from {!Span_select},
     {!Chunked}, ...) as full results, sorted by (start, length, entity).
     The document must be the one the matches were produced from. *)
 
@@ -74,7 +74,7 @@ val results_of_char_matches :
 
 type opts = {
   pruning : Types.pruning;  (** filter level, default [Binary_window] *)
-  budget : Faerie_util.Budget.spec;
+  budget : Budget.spec;
       (** deadline / byte / candidate limits, default unlimited *)
   oversize : [ `Chunk | `Reject ];
       (** routing for a [`Text] input over [budget.max_bytes]: [`Chunk]
@@ -125,7 +125,7 @@ val run : ?opts:opts -> t -> input -> report
 (** [run ?opts t input] extracts one document inside a fault/budget
     containment boundary: no exception raised while processing escapes —
     tokenizer rejections, injected {!Faerie_util.Fault}s, tripped
-    {!Faerie_util.Budget}s, corrupt-index loads and any other crash all
+    {!Budget}s, corrupt-index loads and any other crash all
     map to [Failed] (or [Degraded], when sound partial results exist) in
     the report's outcome. *)
 

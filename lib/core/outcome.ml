@@ -1,4 +1,3 @@
-module Budget = Faerie_util.Budget
 
 type exn_info = { exn_name : string; message : string; backtrace : string }
 

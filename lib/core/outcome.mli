@@ -36,7 +36,7 @@ val shed_cause_to_string : shed_cause -> string
 type error =
   | Doc_too_large of { bytes : int; limit : int }
       (** document over the byte limit and oversize policy is [`Reject] *)
-  | Budget_exhausted of Faerie_util.Budget.exhaustion
+  | Budget_exhausted of Budget.exhaustion
       (** a budget tripped at a point where no partial results exist *)
   | Tokenize_error of string  (** document tokenization rejected the input *)
   | Corrupt_index of string  (** {!Faerie_index.Codec.Corrupt} at load *)
@@ -51,7 +51,7 @@ type degradation =
   | Oversize_chunked of { bytes : int; limit : int }
       (** document exceeded [max_bytes]; processed via bounded-memory
           {!Chunked} extraction (results complete, peak memory bounded) *)
-  | Partial of Faerie_util.Budget.exhaustion
+  | Partial of Budget.exhaustion
       (** a budget tripped mid-filter; results found before the trip are
           verified and reported (always a subset of the full result set) *)
   | Shard_partial of { n_shards : int; missing : int list }
@@ -104,7 +104,7 @@ type summary = {
 
 val summarize : ?elapsed_ns:int64 -> 'a t array -> summary
 (** [elapsed_ns] (default [0L]) stamps the batch wall time into the
-    summary; {!Parallel.extract_all_outcomes} passes the measured value. *)
+    summary; {!Supervisor.run_batch} passes the measured value. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

@@ -1,7 +1,5 @@
 module Ix = Faerie_index
-module Wal = Faerie_util.Wal
 module Fault = Faerie_util.Fault
-module Budget = Faerie_util.Budget
 module Metrics = Faerie_obs.Metrics
 module Trace = Faerie_obs.Trace
 module Prof = Faerie_obs.Prof

@@ -1,6 +1,5 @@
 module Fault = Faerie_util.Fault
 module Json = Faerie_util.Json
-module Budget = Faerie_util.Budget
 module Score = Faerie_sim.Verify.Score
 module Sim = Faerie_sim.Sim
 module Trace = Faerie_obs.Trace

@@ -220,7 +220,7 @@ module Slowrec : sig
     sim : Faerie_sim.Sim.t;
     q : int;
     pruning : Types.pruning;
-    budget : Faerie_util.Budget.spec;
+    budget : Budget.spec;
     fault : Faerie_util.Fault.config option;
     text : string;
   }

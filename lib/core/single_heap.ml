@@ -3,7 +3,6 @@ module S = Faerie_sim
 module Heaps = Faerie_heaps
 module Ix = Faerie_index
 module Dynarray = Faerie_util.Dynarray
-module Budget = Faerie_util.Budget
 module Metrics = Faerie_obs.Metrics
 module Trace = Faerie_obs.Trace
 module Prof = Faerie_obs.Prof

@@ -27,7 +27,7 @@ type report = {
   matches : Types.token_match list;
       (** verified matches, deduplicated, sorted by (entity, start, len) *)
   stats : Types.stats;  (** filtering statistics for this run *)
-  exhausted : Faerie_util.Budget.exhaustion option;
+  exhausted : Budget.exhaustion option;
       (** [Some _] when a budget limit tripped and [matches] is a sound
           subset of the full result set (never a superset) *)
 }
@@ -35,7 +35,7 @@ type report = {
 val run_budgeted :
   ?merger:Faerie_heaps.Multiway.merger ->
   ?pruning:Types.pruning ->
-  ?budget:Faerie_util.Budget.t ->
+  ?budget:Budget.t ->
   ?verifier:Faerie_sim.Verify.verifier ->
   Problem.t ->
   Faerie_tokenize.Document.t ->

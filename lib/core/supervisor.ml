@@ -1,4 +1,3 @@
-module Budget = Faerie_util.Budget
 module Fault = Faerie_util.Fault
 module Json = Faerie_util.Json
 module Xorshift = Faerie_util.Xorshift
@@ -44,11 +43,11 @@ let mix_int a b =
   Int64.to_int h land max_int
 
 (* Attempt 0 keys the fault context by the plain document id — identical to
-   what {!Parallel} would use, so a supervised run and a batch run see the
-   same fault schedule on first attempts. Re-attempts get a fresh key:
-   deterministic, but independent of the first attempt's schedule (otherwise
-   an injected fault would re-fire identically forever and retry would be
-   pointless). *)
+   a direct [Extractor.run] with [opts.doc_id] set, so a supervised run and
+   a sequential run see the same fault schedule on first attempts.
+   Re-attempts get a fresh key: deterministic, but independent of the first
+   attempt's schedule (otherwise an injected fault would re-fire identically
+   forever and retry would be pointless). *)
 let fault_key ~doc_id ~attempt =
   if attempt = 0 then doc_id else mix_int doc_id attempt
 

@@ -1,11 +1,11 @@
-(** Supervised serving layer over {!Extractor}: a pool of worker domains
-    with crash supervision, per-document retry, poison-document quarantine
-    and deadline-aware load shedding.
+(** The one domain pool: a pool of worker domains over {!Extractor} with
+    crash supervision, per-document retry, poison-document quarantine and
+    deadline-aware load shedding. It serves [faerie serve] and, through
+    {!run_batch}, every batch caller.
 
-    {!Parallel} is a batch engine: it contains per-document failures but
-    assumes workers live for the whole batch and every document runs
-    exactly once. A long-running service needs more: a worker domain that
-    dies (bug, injected fault) must be replaced without losing the
+    {!Extractor.run} already contains per-document failures. A
+    long-running service needs more: a worker domain that dies (bug,
+    injected fault) must be replaced without losing the
     document it held; a document that fails transiently deserves a bounded
     number of retries with backoff; a document that fails {e every}
     attempt is poison and must be taken out of the flow with enough
@@ -44,8 +44,8 @@ val default_retry : retry
 
 val fault_key : doc_id:int -> attempt:int -> int
 (** The fault-context key used for attempt [attempt] of [doc_id]:
-    [doc_id] itself on the first attempt (so supervised and batch runs see
-    identical schedules), a deterministic re-key for each retry. Exposed so
+    [doc_id] itself on the first attempt (so supervised and direct
+    {!Extractor.run} calls see identical schedules), a deterministic re-key for each retry. Exposed so
     replay harnesses can reconstruct the exact context a quarantined
     document ran under. *)
 
@@ -101,7 +101,7 @@ module Quarantine : sig
     sim : Faerie_sim.Sim.t;
     q : int;
     pruning : Types.pruning;
-    budget : Faerie_util.Budget.spec;
+    budget : Budget.spec;
     fault : Faerie_util.Fault.config option;
         (** the armed fault campaign, for exact replay *)
     gen : int;
@@ -211,6 +211,7 @@ val run_batch :
   outcome array * Outcome.summary
 (** [run_batch problem docs]: submit every document through a fresh
     supervised pool ([doc_id] = array index), drain, shut down, and
-    return outcomes in input order plus a summary — {!Parallel.extract_all_outcomes}
-    semantics but with supervision, retry, quarantine and shedding.
-    The pool is always shut down, even on exceptions. *)
+    return outcomes in input order plus a summary. With
+    [config.retry.retries = 0] every document runs exactly once, under
+    fault key [doc_id], and a contained failure is its outcome. The pool
+    is always shut down, even on exceptions. *)

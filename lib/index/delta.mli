@@ -11,7 +11,7 @@
     snapshot (new ids, fresh interner) for the Codec-v2 save +
     generation-bump reload path.
 
-    Durability is the caller's: append to {!Faerie_util.Wal} {e before}
+    Durability is the caller's: append to {!Faerie_core.Wal} {e before}
     applying the mutation here, and replay the WAL through {!add} /
     {!remove} on startup — both are idempotent under replay (re-adding a
     live raw is [Exists], removing an absent one is [Absent]), so a crash

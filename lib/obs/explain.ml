@@ -261,7 +261,7 @@ let render ?(top = 5) ?(name_of = fun id -> Printf.sprintf "e%d" id) t =
 
 let to_jsonl t =
   let buf = Buffer.create (t.n_events * 48) in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let add fmt = Printf.bprintf buf fmt in
   List.iter
     (fun ev ->
       (match ev with
@@ -298,7 +298,9 @@ let to_jsonl t =
             entity start len count t survived
       | Filter_done { survivors } ->
           add "{\"ev\":\"filter_done\",\"survivors\":%d}" survivors
-      | Verifier { choice } -> add "{\"ev\":\"verifier\",\"choice\":%S}" choice
+      | Verifier { choice } ->
+          add "{\"ev\":\"verifier\",\"choice\":%a}"
+            Faerie_util.Json.add_escaped choice
       | Verify { entity; start; len; matched } ->
           add "{\"ev\":\"verify\",\"entity\":%d,\"start\":%d,\"len\":%d,\"matched\":%b}"
             entity start len matched

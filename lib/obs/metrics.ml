@@ -487,43 +487,21 @@ let reset ?(registry = default) () =
             sh.hists)
         registry.shards)
 
-(* %.17g round-trips every float; trim the common integral case so counters
-   of observations read naturally ("5" not "5.0000000000000000"). *)
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let render_jsonl snap =
   let buf = Buffer.create 1024 in
+  let str s = Faerie_util.Json.(to_string (Str s))
+  and num v = Faerie_util.Json.(to_string (Num v)) in
   List.iter
     (fun (name, v) ->
       Buffer.add_string buf
         (Printf.sprintf "{\"type\":\"counter\",\"name\":%s,\"value\":%d}\n"
-           (json_string name) v))
+           (str name) v))
     snap.counters;
   List.iter
     (fun (name, g) ->
       Buffer.add_string buf
         (Printf.sprintf "{\"type\":\"gauge\",\"name\":%s,\"value\":%s}\n"
-           (json_string name) (json_float g.value)))
+           (str name) (num g.value)))
     snap.gauges;
   List.iter
     (fun (name, h) ->
@@ -541,7 +519,7 @@ let render_jsonl snap =
               if t <> 0 then
                 cells :=
                   Printf.sprintf "{\"i\":%d,\"trace\":%d,\"value\":%s}" i t
-                    (json_float v)
+                    (num v)
                   :: !cells)
             h.exemplars;
           if !cells = [] then ""
@@ -552,8 +530,8 @@ let render_jsonl snap =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"type\":\"histogram\",\"name\":%s,\"upper\":%s,\"counts\":%s,\"sum\":%s,\"count\":%d%s}\n"
-           (json_string name) (arr json_float h.upper) (arr string_of_int h.counts)
-           (json_float h.sum) h.count ex))
+           (str name) (arr num h.upper) (arr string_of_int h.counts)
+           (num h.sum) h.count ex))
     snap.histograms;
   Buffer.contents buf
 
@@ -574,7 +552,7 @@ let prom_escape_help s =
   Buffer.contents buf
 
 (* Float rendering for exposition-format sample values and [le] labels.
-   Deliberately decoupled from [json_float]: Prometheus conventions
+   Deliberately decoupled from [Json.to_string]: Prometheus conventions
    (shortest round-trip decimal, integral bounds without a fraction part)
    must not drift if the JSON formatter changes. *)
 let prom_float v =

@@ -1,10 +1,10 @@
 (** Machine-readable performance snapshots.
 
-    Three pieces: percentile estimation over {!Metrics.histogram_snapshot},
-    a minimal JSON codec (the library stack has no JSON dependency), and
-    the [faerie-bench-v2] snapshot schema written by [bench --json] and
-    compared by [faerie_cli regress] (v1 snapshots still parse — their gc
-    and allocation fields decay to absent). *)
+    Two pieces: percentile estimation over {!Metrics.histogram_snapshot},
+    and the [faerie-bench-v2] snapshot schema written by [bench --json]
+    and compared by [faerie_cli regress] (v1 snapshots still parse — their
+    gc and allocation fields decay to absent), read and written with
+    {!Faerie_util.Json}. *)
 
 val quantile : Metrics.histogram_snapshot -> float -> float
 (** [quantile h q] estimates the [q]-quantile ([0. <= q <= 1.]) of the
@@ -14,38 +14,6 @@ val quantile : Metrics.histogram_snapshot -> float -> float
     its lower bound — the histogram carries no upper limit there).
     Returns [nan] when the histogram is empty.
     @raise Invalid_argument if [q] is outside [0., 1.]. *)
-
-(** {1 Minimal JSON} *)
-
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-  (** Strict parser for the JSON this library itself writes (objects,
-      arrays, strings with the common escapes, numbers, booleans, null).
-      Errors carry a byte offset. Trailing whitespace is allowed; any
-      other trailing input is an error. *)
-
-  val to_string : t -> string
-  (** Compact (no whitespace) rendering. Object fields keep their order. *)
-
-  val member : string -> t -> t option
-  (** Field lookup; [None] on missing field or non-object. *)
-
-  val to_float : t -> float option
-
-  val to_int : t -> int option
-
-  val to_str : t -> string option
-
-  val to_list : t -> t list option
-end
 
 (** {1 Bench snapshots (schema [faerie-bench-v2])} *)
 

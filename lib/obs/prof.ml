@@ -185,8 +185,6 @@ let with_doc f =
       f
   end
 
-let note_top_heap () = if Atomic.get on then note_watermark (capture ())
-
 (* ------------------------------------------------------------------ *)
 (* Flame profiles                                                      *)
 

@@ -50,12 +50,6 @@ val with_doc : (unit -> 'a) -> 'a
 (** Run one document's extraction, recording total GC deltas, the
     allocated-words histogram observation and the heap watermark. *)
 
-val note_top_heap : unit -> unit
-(** Record the current heap watermark into [gc_top_heap_bytes] (one
-    [Gc.quick_stat] when enabled; a no-op when disabled). Called by
-    [Parallel] workers before they retire so per-domain watermarks
-    survive into the max-merged gauge. *)
-
 val max_rss_bytes : unit -> int
 (** The process's peak resident set size in bytes — Linux [VmHWM] from
     [/proc/self/status] (the counter [getrusage]'s [ru_maxrss] reads);

@@ -208,37 +208,18 @@ let drain () =
 
 let reset () = ignore (drain ())
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let to_jsonl spans =
   let buf = Buffer.create 1024 in
+  let str = Faerie_util.Json.add_escaped in
   List.iter
     (fun s ->
-      let attrs =
-        String.concat ","
-          (List.map
-             (fun (k, v) -> Printf.sprintf "%s:%s" (json_string k) (json_string v))
-             s.attrs)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%s,\"start_ns\":%Ld,\"dur_ns\":%Ld,\"depth\":%d,\"domain\":%d,\"trace\":%d,\"ok\":%b,\"attrs\":{%s}}\n"
-           (json_string s.name) s.start_ns s.dur_ns s.depth s.domain s.trace
-           s.ok attrs))
+      Printf.bprintf buf
+        "{\"name\":%a,\"start_ns\":%Ld,\"dur_ns\":%Ld,\"depth\":%d,\"domain\":%d,\"trace\":%d,\"ok\":%b,\"attrs\":{"
+        str s.name s.start_ns s.dur_ns s.depth s.domain s.trace s.ok;
+      List.iteri
+        (fun i (k, v) ->
+          Printf.bprintf buf "%s%a:%a" (if i > 0 then "," else "") str k str v)
+        s.attrs;
+      Buffer.add_string buf "}}\n")
     spans;
   Buffer.contents buf

@@ -19,7 +19,7 @@
 exception Injected of string
 (** [Injected site] — the deliberate failure raised at an armed site.
     Pipeline code contains it at the per-document boundary
-    ({!Faerie_core.Parallel}); it must never escape a batch run. *)
+    ({!Faerie_core.Extractor.run}); it must never escape a batch run. *)
 
 type config = {
   seed : int;  (** campaign seed; decisions derive from it deterministically *)
@@ -73,11 +73,11 @@ val known_sites : string list
     {!Faerie_core.Cluster} shard process, {e outside} the per-document
     boundary — an injection there makes the whole shard process exit
     abnormally, simulating a shard crash mid-request), ["wal_append"]
-    (fired {e before} the write(2) in {!Wal.append} — an injection
-    simulates a crash before the mutation reaches disk: the op must be
-    rejected, not half-applied), ["wal_replay"] (fired per record during
-    {!Wal.replay} — simulates a crash mid-recovery; replay must be
-    idempotent so a rerun converges), ["compact_save"] (before the
+    (fired {e before} the write(2) in {!Faerie_core.Wal.append} — an
+    injection simulates a crash before the mutation reaches disk: the op
+    must be rejected, not half-applied), ["wal_replay"] (fired per record
+    during {!Faerie_core.Wal.replay} — simulates a crash mid-recovery;
+    replay must be idempotent so a rerun converges), ["compact_save"] (before the
     compactor writes the folded snapshot) and ["compact_commit"] (after
     the snapshot is durable but before it is adopted — an injection at
     either must leave the old generation serving and the WAL intact). *)

@@ -1,5 +1,6 @@
-(** Minimal JSON codec for the NDJSON surfaces (serve protocol, quarantine
-    dead-letter records).
+(** The repo's one JSON codec: the NDJSON surfaces (serve protocol,
+    quarantine dead-letter records), bench snapshots, and the escaper
+    behind every observability JSONL line.
 
     Self-contained on purpose: the repo's only runtime dependencies are the
     compiler distribution plus cmdliner, so the few places that must
@@ -22,6 +23,14 @@ val to_string : t -> string
 (** Compact one-line rendering (no added whitespace). Integral floats in
     int range print without a decimal point, so counters round-trip as
     ["42"] rather than ["42."]. *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** Append [s] as a quoted JSON string literal: ["\""], ["\\"] and the
+    control bytes [\n \r \t \b \f] take their short escapes, every
+    other byte below [0x20] becomes [\u00XX], and the rest (UTF-8
+    included) is copied verbatim. This is the one JSON string escaper:
+    every hand-rendered JSON line in the repo goes through it, so
+    whatever it emits {!of_string} reads back unchanged. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON document; [Error msg] on malformed input (never

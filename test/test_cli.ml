@@ -71,14 +71,73 @@ let test_extract_finds_paper_matches () =
              && Str.string_match (Str.regexp ".*venkaee sh.*") l 0)
            lines))
 
+(* --top K keeps the K best matches of the full result — lower edit
+   distance first, ties toward the earlier, shorter, lower-id match — and
+   prints them in the same positional order as a plain run. *)
 let test_extract_top_k () =
   with_temp_dir (fun dir ->
       let dict = paper_dict_file dir and doc = paper_doc_file dir in
-      let status, lines =
-        run_cli [ "extract"; "-d"; dict; "-s"; "ed=2"; "-q"; "2"; "--top"; "2"; doc ]
+      let extract extra =
+        run_cli ([ "extract"; "-d"; dict; "-s"; "ed=2"; "-q"; "2" ] @ extra @ [ doc ])
       in
-      check_bool "exit 0" true (status = Unix.WEXITED 0);
-      check_int "exactly k lines" 2 (List.length lines))
+      let _, full = extract [] in
+      let entity_ids =
+        [ "kaushik ch"; "chakrabarti"; "chaudhuri"; "venkatesh"; "surajit ch" ]
+      in
+      let key line =
+        match String.split_on_char '\t' line with
+        | [ _; start; stop; score; entity; _ ] ->
+            let start = int_of_string start in
+            let id =
+              let rec find i = function
+                | [] -> Alcotest.failf "unknown entity in %S" line
+                | e :: rest -> if e = entity then i else find (i + 1) rest
+              in
+              find 0 entity_ids
+            in
+            Scanf.sscanf score "ed=%d" (fun d ->
+                (d, start, int_of_string stop - start, id))
+        | _ -> Alcotest.failf "malformed output line %S" line
+      in
+      let positional a b =
+        let _, sa, la, ia = key a and _, sb, lb, ib = key b in
+        compare (sa, la, ia) (sb, lb, ib)
+      in
+      let best_first = List.sort (fun a b -> compare (key a) (key b)) full in
+      check_bool "several matches" true (List.length full >= 3);
+      List.iter
+        (fun k ->
+          let status, lines = extract [ "--top"; string_of_int k ] in
+          check_bool "exit 0" true (status = Unix.WEXITED 0);
+          check_int "exactly k lines" (min k (List.length full))
+            (List.length lines);
+          Alcotest.(check (list string))
+            (Printf.sprintf "top %d = first %d best-first matches" k k)
+            (List.sort positional (List.filteri (fun i _ -> i < k) best_first))
+            lines)
+        [ 1; 2; 3; List.length full; List.length full + 5 ];
+      let _, top3 = extract [ "--top"; "3" ] in
+      List.iter
+        (fun level ->
+          Alcotest.(check (list string))
+            ("same top 3 under --pruning " ^ level)
+            top3
+            (snd (extract [ "--top"; "3"; "--pruning"; level ])))
+        [ "none"; "lazy"; "bucket"; "binary" ];
+      (* An entity shorter than q takes the fallback path; --top keeps it. *)
+      let short = Filename.concat dir "short.txt"
+      and short_doc = Filename.concat dir "short_doc.txt" in
+      write_file short "ab\n";
+      write_file short_doc "xxabyy";
+      let _, lines =
+        run_cli
+          [ "extract"; "-d"; short; "-s"; "ed=0"; "-q"; "4"; "--top"; "1";
+            short_doc ]
+      in
+      Alcotest.(check (list string))
+        "fallback entity kept"
+        [ short_doc ^ "\t2\t4\ted=0\tab\tab" ]
+        lines)
 
 let test_extract_select_non_overlapping () =
   with_temp_dir (fun dir ->

@@ -22,7 +22,7 @@ module Cluster = Core.Cluster
 module Extractor = Core.Extractor
 module Parallel = Core.Parallel
 module Fault = Faerie_util.Fault
-module Budget = Faerie_util.Budget
+module Budget = Faerie_core.Budget
 module Xorshift = Faerie_util.Xorshift
 module Metrics = Faerie_obs.Metrics
 module Trace = Faerie_obs.Trace

@@ -19,9 +19,9 @@ module Supervisor = Core.Supervisor
 module Cluster = Core.Cluster
 module Tk = Faerie_tokenize
 module Ix = Faerie_index
-module Wal = Faerie_util.Wal
+module Wal = Faerie_core.Wal
 module Fault = Faerie_util.Fault
-module Budget = Faerie_util.Budget
+module Budget = Faerie_core.Budget
 module Xorshift = Faerie_util.Xorshift
 
 let check_int = Alcotest.(check int)

@@ -6,6 +6,7 @@ module Metrics = Faerie_obs.Metrics
 module Trace = Faerie_obs.Trace
 module Explain = Faerie_obs.Explain
 module Perf = Faerie_obs.Perf
+module Json = Faerie_util.Json
 module Fault = Faerie_util.Fault
 module Sim = Faerie_sim.Sim
 module Core = Faerie_core
@@ -13,7 +14,7 @@ module Types = Core.Types
 module Problem = Core.Problem
 module Single_heap = Core.Single_heap
 module Extractor = Core.Extractor
-module Parallel = Core.Parallel
+module Supervisor = Core.Supervisor
 module Outcome = Core.Outcome
 
 let check_int = Alcotest.(check int)
@@ -172,6 +173,13 @@ let test_spans_nest_under_fault () =
 (* (d) multi-domain shard merge loses no counts                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The supervised pool with retry off, as the batch extraction path. *)
+let batch ~domains problem docs =
+  let retry = { Supervisor.default_retry with retries = 0; backoff_ms = 0 } in
+  Supervisor.run_batch
+    ~config:{ Supervisor.default_config with domains; retry }
+    problem docs
+
 let test_parallel_shard_merge () =
   let problem = Problem.create ~sim:(Sim.Edit_distance 2) ~q:2 paper_dict in
   let docs =
@@ -189,9 +197,7 @@ let test_parallel_shard_merge () =
   in
   let totals domains =
     Metrics.reset ();
-    let outcomes, summary =
-      Parallel.extract_all_outcomes ~domains problem docs
-    in
+    let outcomes, summary = batch ~domains problem docs in
     check_int "all docs processed" 12 (Array.length outcomes);
     check_int "all ok" 12 summary.Outcome.n_ok;
     let snap = Metrics.snapshot () in
@@ -212,6 +218,21 @@ let test_parallel_shard_merge () =
 (* Exported JSON schemas (locked)                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A string no hand-written escaper gets right by accident: a quote, a
+   backslash, the short-escape controls \r and \b, and a bare \x01. *)
+let hostile = "q\"b\\s\rr\bb\x01c"
+
+(* Every emitted line must be one JSON document the shared codec reads. *)
+let parse_jsonl what text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun line ->
+         match Json.of_string line with
+         | Ok j -> j
+         | Error e -> Alcotest.failf "%s: %S does not parse: %s" what line e)
+
+let str_member k j = Option.bind (Json.member k j) Json.to_str
+
 let test_metrics_jsonl_schema () =
   let reg = Metrics.create () in
   let c = Metrics.counter ~registry:reg ~help:"a counter" "alpha" in
@@ -226,7 +247,11 @@ let test_metrics_jsonl_schema () =
    ^ "{\"type\":\"gauge\",\"name\":\"beta\",\"value\":1.5}\n"
    ^ "{\"type\":\"histogram\",\"name\":\"gamma\",\"upper\":[1,2],\"counts\":[1,0,1],\"sum\":3.5,\"count\":2}\n"
     )
-    (Metrics.to_jsonl ~registry:reg ())
+    (Metrics.to_jsonl ~registry:reg ());
+  Metrics.add (Metrics.counter ~registry:reg hostile) 1;
+  let lines = parse_jsonl "metrics" (Metrics.to_jsonl ~registry:reg ()) in
+  check_bool "hostile name parses back unchanged" true
+    (List.exists (fun j -> str_member "name" j = Some hostile) lines)
 
 let test_prometheus_schema () =
   let reg = Metrics.create () in
@@ -253,7 +278,21 @@ let test_trace_jsonl_schema () =
        "{\"name\":\"outer\",\"start_ns\":10,\"dur_ns\":30,\"depth\":0,\"domain\":%d,\"trace\":0,\"ok\":true,\"attrs\":{}}\n\
         {\"name\":\"inner\",\"start_ns\":20,\"dur_ns\":10,\"depth\":1,\"domain\":%d,\"trace\":0,\"ok\":true,\"attrs\":{\"k\":\"v\\\"w\"}}\n"
        domain domain)
-    (Trace.to_jsonl spans)
+    (Trace.to_jsonl spans);
+  (* Nanosecond fields stay integers: 2^53 + 1 has no float64 image. *)
+  Trace.set_clock (Some (fun () -> 9007199254740993L));
+  Trace.with_span ~attrs:[ (hostile, hostile) ] hostile (fun () -> ());
+  let text = Trace.to_jsonl (Trace.drain ()) in
+  check_bool "start_ns printed exactly" true
+    (has_substring text "\"start_ns\":9007199254740993,");
+  match parse_jsonl "trace" text with
+  | [ j ] ->
+      check_bool "hostile span name parses back unchanged" true
+        (str_member "name" j = Some hostile);
+      check_bool "hostile attr parses back unchanged" true
+        (Option.bind (Json.member "attrs" j) (str_member hostile)
+        = Some hostile)
+  | _ -> Alcotest.fail "one span, one line"
 
 (* ------------------------------------------------------------------ *)
 (* (e) Explain waterfall agrees with Types.stats at every level        *)
@@ -357,7 +396,12 @@ let test_explain_jsonl_schema () =
      {\"ev\":\"verifier\",\"choice\":\"myers\"}\n\
      {\"ev\":\"verify\",\"entity\":3,\"start\":7,\"len\":2,\"matched\":true}\n\
      {\"ev\":\"selection\",\"total\":9,\"kept\":4}\n"
-    (Explain.to_jsonl sink)
+    (Explain.to_jsonl sink);
+  Explain.emit sink (Explain.Verifier { choice = hostile });
+  let lines = parse_jsonl "explain" (Explain.to_jsonl sink) in
+  check_int "one line per event" 13 (List.length lines);
+  check_bool "hostile choice parses back unchanged" true
+    (str_member "choice" (List.nth lines 12) = Some hostile)
 
 (* ------------------------------------------------------------------ *)
 (* (f) Perf: quantiles, bench snapshot codec, regression comparison    *)
@@ -710,7 +754,7 @@ let test_prof_parallel_aggregation () =
   in
   let observe domains =
     Metrics.reset ();
-    let outcomes, _ = Parallel.extract_all_outcomes ~domains problem docs in
+    let outcomes, _ = batch ~domains problem docs in
     check_int "all docs processed" 12 (Array.length outcomes);
     let snap = Metrics.snapshot () in
     let count =

@@ -15,7 +15,7 @@ module Ix = Faerie_index
 module Codec = Ix.Codec
 module Xorshift = Faerie_util.Xorshift
 module Fault = Faerie_util.Fault
-module Budget = Faerie_util.Budget
+module Budget = Faerie_core.Budget
 module Varint = Faerie_util.Varint
 module Supervisor = Core.Supervisor
 module Extractor = Core.Extractor
@@ -216,11 +216,23 @@ let batch_docs =
     "the quick brown fox jumps over the lazy dog";
   |]
 
+(* The supervised pool with retry off: a contained fault is the outcome of
+   the document's one attempt, keyed by its batch index. *)
+let batch ?opts ~domains problem docs =
+  let retry = { Supervisor.default_retry with retries = 0; backoff_ms = 0 } in
+  Supervisor.run_batch ?opts
+    ~config:{ Supervisor.default_config with domains; retry }
+    problem docs
+
+let extract_one ?(opts = Extractor.default_opts) problem text =
+  Parallel.outcome_of_report
+    (Extractor.run ~opts (Extractor.of_problem problem) (`Text text))
+
 let test_fault_containment () =
   let problem = ed_problem () in
   Fault.disarm ();
   let clean, clean_summary =
-    Parallel.extract_all_outcomes ~domains:4 problem batch_docs
+    batch ~domains:4 problem batch_docs
   in
   check_int "clean run: no failures" 0 clean_summary.Outcome.n_failed;
   Fault.reset_counts ();
@@ -228,7 +240,7 @@ let test_fault_containment () =
     { Fault.seed = 99; rates = [ ("tokenize", 0.4); ("heap_merge", 0.4) ] };
   let faulted, summary =
     Fun.protect ~finally:Fault.disarm (fun () ->
-        Parallel.extract_all_outcomes ~domains:4 problem batch_docs)
+        batch ~domains:4 problem batch_docs)
   in
   check_int "every injected fault is one failed document"
     (Fault.injected_count ()) summary.Outcome.n_failed;
@@ -254,7 +266,7 @@ let test_fault_determinism () =
       { Fault.seed = 7; rates = [ ("tokenize", 0.5); ("verify", 0.1) ] };
     Fun.protect ~finally:Fault.disarm (fun () ->
         let outcomes, _ =
-          Parallel.extract_all_outcomes ~domains:3 problem batch_docs
+          batch ~domains:3 problem batch_docs
         in
         Array.map
           (function
@@ -270,8 +282,8 @@ let test_fault_determinism () =
 let test_faults_inert_when_disarmed () =
   Fault.disarm ();
   let problem = ed_problem () in
-  let a = Parallel.extract_all ~domains:1 problem batch_docs in
-  let b = Parallel.extract_all ~domains:4 problem batch_docs in
+  let a, _ = batch ~domains:1 problem batch_docs in
+  let b, _ = batch ~domains:4 problem batch_docs in
   check_bool "disarmed pipeline unchanged" true (a = b)
 
 let test_worker_crash_contained () =
@@ -586,9 +598,7 @@ let subset small big =
 let test_budget_candidates_degrades_to_subset () =
   let problem = ed_problem () in
   let full =
-    match
-      Parallel.extract_one_outcome ~doc_id:0 problem paper_doc
-    with
+    match extract_one problem paper_doc with
     | Outcome.Ok ms -> ms
     | _ -> Alcotest.fail "unbudgeted run should be Ok"
   in
@@ -596,7 +606,7 @@ let test_budget_candidates_degrades_to_subset () =
   List.iter
     (fun cap ->
       let budget = { Budget.spec_unlimited with max_candidates = Some cap } in
-      match Parallel.extract_one_outcome ~budget ~doc_id:0 problem paper_doc with
+      match extract_one ~opts:{ Extractor.default_opts with budget } problem paper_doc with
       | Outcome.Degraded (ms, Outcome.Partial Budget.Candidates) ->
           check_bool
             (Printf.sprintf "cap %d: degraded results are a subset" cap)
@@ -614,12 +624,12 @@ let test_budget_candidates_degrades_to_subset () =
 let test_budget_oversize_chunked_complete () =
   let problem = ed_problem () in
   let full =
-    match Parallel.extract_one_outcome ~doc_id:0 problem paper_doc with
+    match extract_one problem paper_doc with
     | Outcome.Ok ms -> ms
     | _ -> Alcotest.fail "unbudgeted run should be Ok"
   in
   let budget = { Budget.spec_unlimited with max_bytes = Some 40 } in
-  match Parallel.extract_one_outcome ~budget ~doc_id:0 problem paper_doc with
+  match extract_one ~opts:{ Extractor.default_opts with budget } problem paper_doc with
   | Outcome.Degraded (ms, Outcome.Oversize_chunked { bytes; limit }) ->
       check_int "bytes reported" (String.length paper_doc) bytes;
       check_int "limit reported" 40 limit;
@@ -630,8 +640,9 @@ let test_budget_oversize_reject () =
   let problem = ed_problem () in
   let budget = { Budget.spec_unlimited with max_bytes = Some 10 } in
   match
-    Parallel.extract_one_outcome ~budget ~oversize:`Reject ~doc_id:0 problem
-      paper_doc
+    extract_one
+      ~opts:{ Extractor.default_opts with budget; oversize = `Reject }
+      problem paper_doc
   with
   | Outcome.Failed (Outcome.Doc_too_large { limit = 10; _ }) -> ()
   | _ -> Alcotest.fail "oversize document should be rejected"
@@ -642,7 +653,7 @@ let test_budget_batch_mixed () =
   let docs = [| paper_doc; "nothing to see"; paper_doc |] in
   let budget = { Budget.spec_unlimited with max_candidates = Some 3 } in
   let outcomes, summary =
-    Parallel.extract_all_outcomes ~domains:2 ~budget problem docs
+    batch ~opts:{ Extractor.default_opts with budget } ~domains:2 problem docs
   in
   check_int "no failures" 0 summary.Outcome.n_failed;
   check_int "three documents" 3 summary.Outcome.n_docs;
