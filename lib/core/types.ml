@@ -38,6 +38,13 @@ let compare_span a b =
     let c = compare a.c_len b.c_len in
     if c <> 0 then c else compare a.c_entity b.c_entity
 
+let compare_best_first a b =
+  let c = Faerie_sim.Verify.Score.compare a.c_score b.c_score in
+  if c <> 0 then c else compare_span a b
+
+let top_k k ms =
+  if k <= 0 then [] else List.filteri (fun i _ -> i < k) (List.sort compare_best_first ms)
+
 type stats = {
   mutable entities_seen : int;
   mutable entities_pruned_lazy : int;

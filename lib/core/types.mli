@@ -46,6 +46,15 @@ val compare_span : char_match -> char_match -> int
 (** Orders by (start, len, entity); score ignored. The match order of every
     [faerie serve] response, whatever the shard count. *)
 
+val compare_best_first : char_match -> char_match -> int
+(** Better score first ({!Faerie_sim.Verify.Score.compare}), ties by
+    {!compare_span}: toward the earlier, shorter, lower-id match. *)
+
+val top_k : int -> char_match list -> char_match list
+(** [top_k k ms] is the first [k] matches of [ms] in {!compare_best_first}
+    order (all of them when [k] exceeds their number, none when [k <= 0]).
+    The selection of [faerie extract --top K]. *)
+
 type stats = {
   mutable entities_seen : int;
       (** distinct entities streamed off the heap *)
