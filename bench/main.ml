@@ -408,31 +408,12 @@ let table5 () =
 
 let ablations () =
   H.section ~exhibit:"ablations"
-    ~title:"design-choice ablations (merge engine, window search, lazy bound)";
+    ~title:"design-choice ablations (window search, lazy bound)";
   let dblp = Lazy.force W.dblp in
   let docs = W.doc_texts dblp 50 in
   let q = W.q_for_ed_dblp 2 in
   let sim = Sim.Edit_distance 2 in
   let problem = Problem.create ~sim ~q (W.indexed_subset ~sim ~q (W.entities dblp)) in
-
-  H.subsection "merge engine: binary int-heap vs loser (tournament) tree";
-  let run_with merger =
-    H.timed (fun () ->
-        Array.iter
-          (fun text ->
-            let doc = Problem.tokenize_document problem text in
-            ignore (Single_heap.run ~merger problem doc))
-          docs)
-  in
-  H.table ~csv:"ablation_merge_engine" ~x_label:"workload"
-    ~columns:[ "Int_heap"; "Loser_tree" ]
-    ~rows:
-      [
-        [ "ed dblp tau=2";
-          H.fmt_time (run_with Faerie_heaps.Multiway.Binary_heap);
-          H.fmt_time (run_with Faerie_heaps.Multiway.Tournament_tree) ];
-      ]
-    ();
 
   H.subsection "window search: binary span/shift vs linear span/shift";
   (* Collect every (position list, Tl, upper) an extraction visits, then
@@ -488,12 +469,14 @@ let ablations () =
              H.fmt_time
                (time_search
                   (fun ~positions ~tl ~upper ~f ->
-                    Core.Windows.iter_windows ~positions ~tl ~upper ~f ())
+                    Core.Windows.iter_windows ~n:(Array.length positions)
+                      ~positions ~tl ~upper ~f ())
                   cases);
              H.fmt_time
                (time_search
                   (fun ~positions ~tl ~upper ~f ->
-                    Core.Windows.iter_windows_linear ~positions ~tl ~upper ~f ())
+                    Core.Windows.iter_windows_linear ~n:(Array.length positions)
+                      ~positions ~tl ~upper ~f ())
                   cases) ])
          workloads)
     ();
@@ -588,7 +571,8 @@ let micro () =
                     "approximate membership" "aproximate membershp")));
         Test.make ~name:"windows/binary_span_shift"
           (Staged.stage (fun () ->
-               Core.Windows.iter_windows ~positions ~tl:4 ~upper:12
+               Core.Windows.iter_windows ~n:(Array.length positions)
+                 ~positions ~tl:4 ~upper:12
                  ~f:(fun ~first:_ ~last:_ -> ()) ()));
         Test.make ~name:"extract/ed_one_doc"
           (Staged.stage (fun () ->

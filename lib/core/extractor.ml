@@ -1,7 +1,6 @@
 module Tk = Faerie_tokenize
 module S = Faerie_sim
 module Ix = Faerie_index
-module Heaps = Faerie_heaps
 module Fault = Faerie_util.Fault
 module Metrics = Faerie_obs.Metrics
 module Trace = Faerie_obs.Trace
@@ -121,7 +120,6 @@ type opts = {
   pruning : Types.pruning;
   budget : Budget.spec;
   oversize : [ `Chunk | `Reject ];
-  merger : Heaps.Multiway.merger;
   verifier : S.Verify.verifier;
   metrics : bool;
   explain : Explain.t option;
@@ -141,7 +139,6 @@ let default_opts =
     pruning = Binary_window;
     budget = Budget.spec_unlimited;
     oversize = `Chunk;
-    merger = Heaps.Multiway.Binary_heap;
     verifier = S.Verify.Auto;
     metrics = true;
     explain = None;
@@ -157,9 +154,9 @@ let tokenize_checked problem text =
 
 (* Filter + verify + fallback on one tokenized document — shared by the
    legacy wrappers (exceptions propagate) and [run] (which contains them). *)
-let extract_matches ?merger ?verifier ~pruning ~budget t doc =
+let extract_matches ?verifier ~pruning ~budget t doc =
   let r =
-    Single_heap.run_budgeted ?merger ?verifier ~pruning ~budget t.problem doc
+    Single_heap.run_budgeted ?verifier ~pruning ~budget t.problem doc
   in
   let main = List.map (char_match_of_token_match doc) r.Single_heap.matches in
   let fallback = Fallback.run ?verifier t.problem doc in
@@ -219,8 +216,8 @@ let run_contained opts t input =
             | `Text text -> tokenize_checked t.problem text
           in
           let all, st, exhausted =
-            extract_matches ~merger:opts.merger ~verifier:opts.verifier
-              ~pruning:opts.pruning ~budget:b t doc
+            extract_matches ~verifier:opts.verifier ~pruning:opts.pruning
+              ~budget:b t doc
           in
           blit_stats ~src:st ~dst:stats;
           let results = results_of_char_matches t doc all in

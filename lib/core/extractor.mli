@@ -80,8 +80,6 @@ type opts = {
       (** routing for a [`Text] input over [budget.max_bytes]: [`Chunk]
           (default) degrades to bounded-memory {!Chunked} extraction with
           complete results; [`Reject] fails with [Doc_too_large] *)
-  merger : Faerie_heaps.Multiway.merger;
-      (** multiway merge engine, default [Binary_heap] *)
   verifier : Faerie_sim.Verify.verifier;
       (** edit-distance engine for character-based verification: [Auto]
           (default) and [Myers] use the bit-parallel verifier with the
@@ -104,7 +102,7 @@ type opts = {
 }
 
 val default_opts : opts
-(** [Binary_window], unlimited budget, [`Chunk], binary heap, [Auto]
+(** [Binary_window], unlimited budget, [`Chunk], [Auto]
     verifier, metrics on, explain off, [doc_id = 0]. Override fields with
     [{ default_opts with ... }]. *)
 

@@ -140,10 +140,52 @@ let note_lazy ex ~entity ~tl ~m =
       Explain.emit sink
         (Explain.Pruned { entity; reason = Explain.Lazy_bound { tl; count = m } })
 
+(* The entity whose windows the Binary_window path searches. [collect]
+   builds one per filter run, together with the window callback and the
+   search thunk that read it, so the path allocates no closure per
+   entity. *)
+type window_search = {
+  mutable entity : int;
+  mutable info : Problem.entity_info;
+  mutable positions : int array;
+  mutable m : int;
+}
+
+let window_search problem stats ~ex ~n_tokens ~emit =
+  let ws =
+    {
+      entity = 0;
+      info =
+        {
+          e_len = 0;
+          lower = 0;
+          upper = 0;
+          tl = 1;
+          gap = 0;
+          path = Problem.Impossible;
+        };
+      positions = [||];
+      m = 0;
+    }
+  in
+  let on_window ~first ~last =
+    let entity = ws.entity in
+    (match ex with
+    | None -> ()
+    | Some sink -> Explain.emit sink (Explain.Window { entity; first; last }));
+    enumerate_window problem stats ~ex ~entity ~info:ws.info
+      ~positions:ws.positions ~first ~last ~n_tokens ~emit
+  in
+  let search () =
+    Windows.iter_windows ~n:ws.m ~positions:ws.positions ~tl:ws.info.tl
+      ~upper:ws.info.upper ~f:on_window ()
+  in
+  (ws, search)
+
 (* [positions] may be an oversized reusable buffer; [m] is the live
    prefix length. *)
-let process_entity problem (stats : stats) ~ex ~pruning ~entity ~positions ~m
-    ~n_tokens ~emit =
+let process_entity problem (stats : stats) ~ex ~pruning ~windows:(ws, search)
+    ~entity ~positions ~m ~n_tokens ~emit =
   let info = Problem.info problem entity in
   match info.path with
   | Problem.Fallback | Problem.Impossible -> ()
@@ -194,19 +236,13 @@ let process_entity problem (stats : stats) ~ex ~pruning ~entity ~positions ~m
             stats.entities_pruned_lazy <- stats.entities_pruned_lazy + 1;
             note_lazy ex ~entity ~tl:info.tl ~m
           end
-          else
-            Prof.with_stage Prof.Windows (fun () ->
-                Windows.iter_windows ~n:m ~positions ~tl:info.tl
-                  ~upper:info.upper
-                  ~f:(fun ~first ~last ->
-                    (match ex with
-                    | None -> ()
-                    | Some sink ->
-                        Explain.emit sink
-                          (Explain.Window { entity; first; last }));
-                    enumerate_window problem stats ~ex ~entity ~info ~positions
-                      ~first ~last ~n_tokens ~emit)
-                  ()))
+          else begin
+            ws.entity <- entity;
+            ws.info <- info;
+            ws.positions <- positions;
+            ws.m <- m;
+            Prof.with_stage Prof.Windows search
+          end)
 
 (* Candidates accumulate as flat (entity, start, len) int triples in one
    Dynarray — no per-candidate record allocation. Dedup sorts the triples
@@ -328,7 +364,7 @@ let dedup_triples acc =
     !w
   end
 
-let collect ?merger ?(budget = Budget.unlimited) ~pruning problem doc =
+let collect ?(budget = Budget.unlimited) ~pruning problem doc =
   Trace.with_span "filter" @@ fun () ->
   let stats = new_stats () in
   (* Resolved once per run: [None] (the production state) keeps every
@@ -355,12 +391,13 @@ let collect ?merger ?(budget = Budget.unlimited) ~pruning problem doc =
            Dynarray.push acc start;
            Dynarray.push acc len
          in
-         Heaps.Multiway.iter_entity_positions ?merger ~n_positions:n_tokens
+         let windows = window_search problem stats ~ex ~n_tokens ~emit in
+         Heaps.Multiway.iter_entity_positions ~n_positions:n_tokens
            ~buf ~offs ~lens
            ~f:(fun ~entity ~positions ~n ->
              Budget.tick budget;
-             process_entity problem stats ~ex ~pruning ~entity ~positions ~m:n
-               ~n_tokens ~emit)
+             process_entity problem stats ~ex ~pruning ~windows ~entity
+               ~positions ~m:n ~n_tokens ~emit)
            ())
    with Budget.Exhausted e -> aborted := Some e);
   let n_survivors = dedup_triples acc in
@@ -393,14 +430,14 @@ let survivor_list acc n_survivors =
   done;
   !tail
 
-let candidates ?merger ~pruning problem doc =
-  let acc, n_survivors, stats, _ = collect ?merger ~pruning problem doc in
+let candidates ~pruning problem doc =
+  let acc, n_survivors, stats, _ = collect ~pruning problem doc in
   (survivor_list acc n_survivors, stats)
 
-let run_budgeted ?merger ?(pruning = Binary_window) ?(budget = Budget.unlimited)
+let run_budgeted ?(pruning = Binary_window) ?(budget = Budget.unlimited)
     ?(verifier = S.Verify.Auto) problem doc =
   let acc, n_survivors, stats, aborted =
-    collect ?merger ~budget ~pruning problem doc
+    collect ~budget ~pruning problem doc
   in
   let aborted = ref aborted in
   (* Verification also respects the deadline: a trip keeps the matches
@@ -441,6 +478,6 @@ let run_budgeted ?merger ?(pruning = Binary_window) ?(budget = Budget.unlimited)
   Metrics.add m_matches stats.verified;
   { matches; stats; exhausted = !aborted }
 
-let run ?merger ?(pruning = Binary_window) ?verifier problem doc =
-  let r = run_budgeted ?merger ~pruning ?verifier problem doc in
+let run ?(pruning = Binary_window) ?verifier problem doc =
+  let r = run_budgeted ~pruning ?verifier problem doc in
   (r.matches, r.stats)

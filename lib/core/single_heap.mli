@@ -10,16 +10,14 @@
     ignored here — {!Fallback.run} completes the answer. *)
 
 val run :
-  ?merger:Faerie_heaps.Multiway.merger ->
   ?pruning:Types.pruning ->
   ?verifier:Faerie_sim.Verify.verifier ->
   Problem.t ->
   Faerie_tokenize.Document.t ->
   Types.token_match list * Types.stats
-(** [run ?merger ?pruning ?verifier problem doc] returns the verified
-    matches (deduplicated, sorted by (entity, start, len)) and filtering
-    statistics. Default pruning is [Binary_window]; [merger] selects the
-    multiway merge engine (default binary heap); [verifier] the
+(** [run ?pruning ?verifier problem doc] returns the verified matches
+    (deduplicated, sorted by (entity, start, len)) and filtering
+    statistics. Default pruning is [Binary_window]; [verifier] selects the
     edit-distance engine for character-based verification (default
     [Auto]). *)
 
@@ -33,7 +31,6 @@ type report = {
 }
 
 val run_budgeted :
-  ?merger:Faerie_heaps.Multiway.merger ->
   ?pruning:Types.pruning ->
   ?budget:Budget.t ->
   ?verifier:Faerie_sim.Verify.verifier ->
@@ -47,7 +44,6 @@ val run_budgeted :
     the exhaustion reason. *)
 
 val candidates :
-  ?merger:Faerie_heaps.Multiway.merger ->
   pruning:Types.pruning ->
   Problem.t ->
   Faerie_tokenize.Document.t ->

@@ -5,8 +5,7 @@ let m_probes =
   Metrics.counter ~help:"binary-search probes in span/shift window search"
     "window_probes"
 
-let binary_span ?n ~positions ~upper i =
-  let m = match n with Some n -> n | None -> Array.length positions in
+let binary_span ~n:m ~positions ~upper i =
   let bound = positions.(i) + upper - 1 in
   (* Largest x in [i, min(m-1, i+upper-1)] with positions.(x) <= bound.
      positions are strictly increasing, so x <= i + upper - 1. *)
@@ -20,8 +19,7 @@ let binary_span ?n ~positions ~upper i =
   Metrics.add m_probes !probes;
   !lo
 
-let rec binary_shift ?n ~positions ~tl ~upper i =
-  let m = match n with Some n -> n | None -> Array.length positions in
+let rec binary_shift ~n:m ~positions ~tl ~upper i =
   if i + tl - 1 >= m then m
   else begin
     let j = i + tl - 1 in
@@ -46,13 +44,12 @@ let rec binary_shift ?n ~positions ~tl ~upper i =
       let mid = !lo in
       if mid + tl - 1 >= m then m
       else if positions.(mid + tl - 1) - positions.(mid) + 1 <= upper then mid
-      else binary_shift ?n ~positions ~tl ~upper (mid + 1)
+      else binary_shift ~n:m ~positions ~tl ~upper (mid + 1)
     end
   end
 
-let iter_windows_linear ?n ~positions ~tl ~upper ~f () =
+let iter_windows_linear ~n:m ~positions ~tl ~upper ~f () =
   if tl < 1 then invalid_arg "Windows.iter_windows_linear: tl must be >= 1";
-  let m = match n with Some n -> n | None -> Array.length positions in
   if tl <= upper then
     for i = 0 to m - tl do
       if positions.(i + tl - 1) - positions.(i) + 1 <= upper then begin
@@ -65,16 +62,15 @@ let iter_windows_linear ?n ~positions ~tl ~upper ~f () =
       end
     done
 
-let iter_windows ?n ~positions ~tl ~upper ~f () =
+let iter_windows ~n:m ~positions ~tl ~upper ~f () =
   if tl < 1 then invalid_arg "Windows.iter_windows: tl must be >= 1";
-  let m = match n with Some n -> n | None -> Array.length positions in
   if tl <= upper then begin
     let i = ref 0 in
     while !i + tl - 1 < m do
       let i0 = !i in
       let j = i0 + tl - 1 in
       if positions.(j) - positions.(i0) + 1 <= upper then begin
-        let last = binary_span ?n ~positions ~upper i0 in
+        let last = binary_span ~n:m ~positions ~upper i0 in
         f ~first:i0 ~last;
         i := i0 + 1
       end
@@ -83,7 +79,7 @@ let iter_windows ?n ~positions ~tl ~upper ~f () =
            sink, so skip events attribute to the entity context set by the
            caller (Single_heap sets it before streaming each entity). *)
         if Explain.armed () then Explain.skip Explain.Span_pruned;
-        let next = binary_shift ?n ~positions ~tl ~upper i0 in
+        let next = binary_shift ~n:m ~positions ~tl ~upper i0 in
         (* binary_shift never returns a start before i0. *)
         let next = max next (i0 + 1) in
         if next > i0 + 1 && Explain.armed () then

@@ -10,28 +10,27 @@
     position still inside the bound. *)
 
 val iter_windows :
-  ?n:int ->
+  n:int ->
   positions:int array ->
   tl:int ->
   upper:int ->
   f:(first:int -> last:int -> unit) ->
   unit ->
   unit
-(** [iter_windows ~positions ~tl ~upper ~f ()] calls [f ~first ~last] for every
-    window start [first] such that [Pe\[first .. first + tl - 1\]] fits in a
-    token span of at most [upper], with [last] the largest index satisfying
-    [p_last - p_first + 1 <= upper] (the binary-span extent). Starts are
-    visited in ascending order. Requires [tl >= 1].
+(** [iter_windows ~n ~positions ~tl ~upper ~f ()] searches the position
+    list [positions.(0 .. n-1)] (the hot path hands in an oversized
+    reusable buffer and the live length). It calls [f ~first ~last] for
+    every window start [first] such that [Pe\[first .. first + tl - 1\]]
+    fits in a token span of at most [upper], with [last] the largest index
+    satisfying [p_last - p_first + 1 <= upper] (the binary-span extent).
+    Starts are visited in ascending order. Requires [tl >= 1].
 
     Completeness: any substring [s] with [|s| <= upper] containing at least
     [Tl] positions has its first contained position at some emitted
-    [first].
-
-    [?n] restricts the search to the prefix [positions.(0 .. n-1)] — the
-    hot path hands in an oversized reusable buffer and the live length. *)
+    [first]. *)
 
 val iter_windows_linear :
-  ?n:int ->
+  n:int ->
   positions:int array ->
   tl:int ->
   upper:int ->
@@ -44,12 +43,12 @@ val iter_windows_linear :
     baseline for the binary-search variant (bench section [ablations]). *)
 
 val binary_shift :
-  ?n:int -> positions:int array -> tl:int -> upper:int -> int -> int
-(** [binary_shift ~positions ~tl ~upper i] is the smallest window start
-    [i' >= i] whose minimal window fits the span bound, or
-    [Array.length positions] when none exists. Exposed for testing; assumes
-    the minimal window at [i] itself overflows or [i] is already feasible. *)
+  n:int -> positions:int array -> tl:int -> upper:int -> int -> int
+(** [binary_shift ~n ~positions ~tl ~upper i] is the smallest window start
+    [i' >= i] whose minimal window fits the span bound, or [n] when none
+    exists. Exposed for testing; assumes the minimal window at [i] itself
+    overflows or [i] is already feasible. *)
 
-val binary_span : ?n:int -> positions:int array -> upper:int -> int -> int
-(** [binary_span ~positions ~upper i] is the largest index [x >= i] with
-    [p_x - p_i + 1 <= upper]. Exposed for testing. *)
+val binary_span : n:int -> positions:int array -> upper:int -> int -> int
+(** [binary_span ~n ~positions ~upper i] is the largest index [x] in
+    [i .. n-1] with [p_x - p_i + 1 <= upper]. Exposed for testing. *)

@@ -1,11 +1,11 @@
 (** Specialized binary min-heap over plain [int] keys.
 
-    The multiway merge pushes one key per posting — hundreds of thousands
-    per document — so the generic {!Min_heap} (closure comparator, checked
-    vector accesses) is too slow for it. Keys here are compared with the
-    native [int] order; callers encode (entity, position) pairs as
-    [(entity lsl shift) lor position], which preserves the lexicographic
-    order the merge needs. *)
+    The multi-heap baseline and {!Tmerge} push one key per posting, and
+    {!Multiway} sorts a document's entity ids with it, so the generic
+    {!Min_heap} (closure comparator, checked vector accesses) is too slow
+    for them. Keys here are compared with the native [int] order;
+    callers encode (value, source) pairs as [(value lsl shift) lor source],
+    which preserves the lexicographic order a merge needs. *)
 
 type t
 

@@ -1,171 +1,163 @@
 module Metrics = Faerie_obs.Metrics
 module Trace = Faerie_obs.Trace
 
-type merger = Binary_heap | Tournament_tree
-
-let m_pops = Metrics.counter ~help:"keys popped from the merge frontier" "heap_pops"
+let m_pops =
+  Metrics.counter ~help:"postings gathered into entity position lists"
+    "heap_pops"
 
 let m_advances =
-  Metrics.counter ~help:"inverted-list cursor advances during merge"
+  Metrics.counter
+    ~help:"postings past the first of each non-empty inverted list"
     "heap_list_advances"
 
 let m_runs = Metrics.counter ~help:"multiway merge runs" "heap_merge_runs"
 
-let m_runs_binary =
-  Metrics.counter ~help:"merge runs using the binary heap" "heap_merge_runs_binary"
-
-let m_runs_tournament =
-  Metrics.counter ~help:"merge runs using the tournament tree"
-    "heap_merge_runs_tournament"
-
-(* Number of bits needed to address [n] positions. *)
-let rec bits_for n acc = if n <= 1 then acc else bits_for ((n + 1) / 2) (acc + 1)
-
-(* Per-domain merge scratch, reused across runs: the position-group buffer
-   handed to [f], the per-list cursors, and the binary heap. Grown to the
-   largest [n_positions] seen on the domain; a steady-state merge allocates
-   none of its working set. *)
+(* Per-domain gather scratch, reused across runs and grown to the largest
+   run seen on the domain, so a steady-state gather allocates nothing.
+   [counts] is indexed by entity id and is all zeros between runs. *)
 type scratch = {
-  mutable positions : int array;
-  mutable cursor : int array;
-  heap : Int_heap.t;
+  mutable counts : int array;
+  mutable ids : int array;  (** touched entity ids, then in ascending order *)
+  mutable ends : int array;  (** end of each ordered id's slice in [slots] *)
+  mutable slots : int array;  (** positions grouped by entity *)
+  mutable positions : int array;  (** one entity's positions, handed to [f] *)
+  heap : Int_heap.t;  (** sorts the touched ids off the dense path *)
 }
 
 let scratch_key : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { positions = [||]; cursor = [||]; heap = Int_heap.create () })
+      {
+        counts = [||];
+        ids = [||];
+        ends = [||];
+        slots = [||];
+        positions = [||];
+        heap = Int_heap.create ();
+      })
 
-let rec round_up cap n = if cap >= n then cap else round_up (2 * max cap 16) n
+let ensure a n = if Array.length a >= n then a else Array.make n 0
 
-let scratch_for n_positions =
+(* Scan the id range [lo..hi] instead of sorting the touched ids while the
+   range is at most this many times the postings count: the scan is then
+   linear in postings, a sort costs a log factor over the touched ids. *)
+let dense_factor = 4
+
+(* Two-pass counting sort of the postings by entity id: count per id,
+   order the touched ids and prefix-sum the counts into write offsets,
+   scatter each position into its entity's slice (positions ascend within a
+   slice because the scatter walks positions in order), then stream the
+   slices. [total] is the postings count and [lo..hi] the id range read off
+   the lists' ends. *)
+let gather ~n_positions ~buf ~offs ~lens ~total ~lo ~hi ~f =
   let sc = Domain.DLS.get scratch_key in
-  if Array.length sc.positions < n_positions then begin
-    let cap = round_up (Array.length sc.positions) n_positions in
-    sc.positions <- Array.make cap 0;
-    sc.cursor <- Array.make cap 0
-  end;
-  Int_heap.clear sc.heap;
-  sc
-
-(* Both engines stream keys [(entity lsl shift) lor position] in ascending
-   order: native int order = lexicographic (entity, position) order. The
-   consumer groups runs of equal entity into position lists, written into a
-   domain-lifetime scratch array (a group holds at most one entry per
-   document position, so [n_positions] bounds it). [f] must not retain
-   [positions] past its return. *)
-
-let consume ~positions ~shift ~mask ~next ~f =
-  let n = ref 0 in
-  let current = ref (-1) in
-  let flush () = if !current >= 0 && !n > 0 then f ~entity:!current ~positions ~n:!n in
-  let rec loop () =
-    match next () with
-    | -1 -> ()
-    | key ->
-        let entity = key lsr shift and pos = key land mask in
-        if entity <> !current then begin
-          flush ();
-          current := entity;
-          n := 0
-        end;
-        Array.unsafe_set positions !n pos;
-        incr n;
-        loop ()
-  in
-  loop ();
-  flush ()
-
-let run_binary_heap ~pops ~advances ~n_positions ~buf ~offs ~lens ~shift ~mask ~f =
-  let sc = scratch_for n_positions in
-  let heap = sc.heap and cursor = sc.cursor in
+  sc.counts <- ensure sc.counts (hi + 1);
+  sc.ids <- ensure sc.ids (min total (hi - lo + 1));
+  sc.slots <- ensure sc.slots total;
+  sc.positions <- ensure sc.positions n_positions;
+  let counts = sc.counts and ids = sc.ids and slots = sc.slots in
+  let dense = hi - lo < dense_factor * total in
+  (* 1. count; off the dense path, record each id the first time it shows.
+     An id outside [lo..hi] means a list was not ascending: it is skipped
+     here and rejected below, after [counts] is cleaned. *)
+  let k = ref 0 and bad = ref false in
   for pos = 0 to n_positions - 1 do
-    cursor.(pos) <- 0;
-    if lens.(pos) > 0 then
-      Int_heap.push heap ((buf.(offs.(pos)) lsl shift) lor pos)
-  done;
-  let next () =
-    if Int_heap.is_empty heap then -1
-    else begin
-      let key = Int_heap.peek_exn heap in
-      let pos = key land mask in
-      let i = cursor.(pos) + 1 in
-      pops := !pops + 1;
-      if i < lens.(pos) then begin
-        cursor.(pos) <- i;
-        advances := !advances + 1;
-        Int_heap.replace_top heap ((buf.(offs.(pos) + i) lsl shift) lor pos)
+    let o = Array.unsafe_get offs pos in
+    for i = o to o + Array.unsafe_get lens pos - 1 do
+      let e = Array.unsafe_get buf i in
+      if e < lo || e > hi then bad := true
+      else begin
+        let c = Array.unsafe_get counts e in
+        if c = 0 && not dense then begin
+          Array.unsafe_set ids !k e;
+          incr k
+        end;
+        Array.unsafe_set counts e (c + 1)
       end
-      else ignore (Int_heap.pop_exn heap);
-      key
-    end
-  in
-  consume ~positions:sc.positions ~shift ~mask ~next ~f
-
-let run_tournament ~pops ~advances ~n_positions ~buf ~offs ~lens ~shift ~mask ~f =
-  (* One tournament leaf per non-empty list. *)
-  let leaves = ref [] in
-  for pos = n_positions - 1 downto 0 do
-    if lens.(pos) > 0 then leaves := pos :: !leaves
+    done
   done;
-  match !leaves with
-  | [] -> ()
-  | leaves ->
-      let leaf_pos = Array.of_list leaves in
-      let k = Array.length leaf_pos in
-      let cursor = Array.make k 0 in
-      let keys =
-        Array.init k (fun j ->
-            (buf.(offs.(leaf_pos.(j))) lsl shift) lor leaf_pos.(j))
-      in
-      let tree = Loser_tree.create ~keys in
-      let next () =
-        if Loser_tree.exhausted tree then -1
-        else begin
-          let j = Loser_tree.winner tree in
-          let key = keys.(j) in
-          let pos = leaf_pos.(j) in
-          let i = cursor.(j) + 1 in
-          pops := !pops + 1;
-          if i < lens.(pos) then begin
-            cursor.(j) <- i;
-            advances := !advances + 1;
-            keys.(j) <- (buf.(offs.(pos) + i) lsl shift) lor pos
-          end
-          else keys.(j) <- max_int;
-          Loser_tree.replay tree;
-          key
-        end
-      in
-      let sc = scratch_for n_positions in
-      consume ~positions:sc.positions ~shift ~mask ~next ~f
+  if !bad then begin
+    Array.fill counts lo (hi - lo + 1) 0;
+    invalid_arg "Multiway.iter_entity_positions: inverted list not ascending"
+  end;
+  (* 2. order the touched ids, and turn counts into write cursors *)
+  if dense then
+    for e = lo to hi do
+      if Array.unsafe_get counts e > 0 then begin
+        Array.unsafe_set ids !k e;
+        incr k
+      end
+    done
+  else begin
+    for j = 0 to !k - 1 do
+      Int_heap.push sc.heap ids.(j)
+    done;
+    for j = 0 to !k - 1 do
+      ids.(j) <- Int_heap.pop_exn sc.heap
+    done
+  end;
+  let k = !k in
+  let off = ref 0 in
+  for j = 0 to k - 1 do
+    let e = Array.unsafe_get ids j in
+    let c = Array.unsafe_get counts e in
+    Array.unsafe_set counts e !off;
+    off := !off + c
+  done;
+  (* 3. scatter *)
+  for pos = 0 to n_positions - 1 do
+    let o = Array.unsafe_get offs pos in
+    for i = o to o + Array.unsafe_get lens pos - 1 do
+      let e = Array.unsafe_get buf i in
+      let w = Array.unsafe_get counts e in
+      Array.unsafe_set slots w pos;
+      Array.unsafe_set counts e (w + 1)
+    done
+  done;
+  (* Each cursor now sits at its slice's end. Zero [counts] before [f]
+     first runs, so an exception from [f] leaves the scratch clean. *)
+  sc.ends <- ensure sc.ends k;
+  let ends = sc.ends in
+  for j = 0 to k - 1 do
+    let e = Array.unsafe_get ids j in
+    Array.unsafe_set ends j (Array.unsafe_get counts e);
+    Array.unsafe_set counts e 0
+  done;
+  (* 4. stream *)
+  let positions = sc.positions in
+  let start = ref 0 in
+  for j = 0 to k - 1 do
+    let stop = Array.unsafe_get ends j in
+    let n = stop - !start in
+    Array.blit slots !start positions 0 n;
+    start := stop;
+    f ~entity:(Array.unsafe_get ids j) ~positions ~n
+  done
 
-let iter_entity_positions ?(merger = Binary_heap) ~n_positions ~buf ~offs ~lens
-    ~f () =
+let iter_entity_positions ~n_positions ~buf ~offs ~lens ~f () =
   Faerie_util.Fault.site "heap_merge";
   if n_positions > 0 then begin
-    let shift = max 1 (bits_for n_positions 0) in
-    let mask = (1 lsl shift) - 1 in
     Metrics.incr m_runs;
-    Metrics.incr
-      (match merger with
-      | Binary_heap -> m_runs_binary
-      | Tournament_tree -> m_runs_tournament);
-    (* Accumulate locally and flush once per run; [f] can abort the merge
-       mid-stream (budget exhaustion), so flush under protection. *)
-    let pops = ref 0 and advances = ref 0 in
-    Fun.protect
-      ~finally:(fun () ->
-        Metrics.add m_pops !pops;
-        Metrics.add m_advances !advances)
-      (fun () ->
-        Trace.with_span "heap_merge" (fun () ->
-            match merger with
-            | Binary_heap ->
-                run_binary_heap ~pops ~advances ~n_positions ~buf ~offs ~lens
-                  ~shift ~mask ~f
-            | Tournament_tree ->
-                run_tournament ~pops ~advances ~n_positions ~buf ~offs ~lens
-                  ~shift ~mask ~f))
+    let total = ref 0 and live = ref 0 and lo = ref max_int and hi = ref (-1) in
+    for pos = 0 to n_positions - 1 do
+      let len = lens.(pos) in
+      if len > 0 then begin
+        let o = offs.(pos) in
+        total := !total + len;
+        incr live;
+        lo := min !lo buf.(o);
+        hi := max !hi buf.(o + len - 1)
+      end
+    done;
+    if !lo < 0 then
+      invalid_arg "Multiway.iter_entity_positions: negative entity id";
+    (* The gather visits every posting before [f] first runs. The counters
+       keep the heap merge's meaning: one pop per posting, one advance per
+       posting after the first of its list. *)
+    Metrics.add m_pops !total;
+    Metrics.add m_advances (!total - !live);
+    Trace.with_span "heap_merge" (fun () ->
+        if !total > 0 then
+          gather ~n_positions ~buf ~offs ~lens ~total:!total ~lo:!lo ~hi:!hi ~f)
   end
 
 let heap_stats ~n_positions ~length_at =

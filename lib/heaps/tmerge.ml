@@ -1,6 +1,6 @@
 (* Cursors are (list index, position); the heap holds keys
    [(value lsl shift) lor list_index] so the native int order sorts by
-   value first — the same encoding trick as {!Multiway}. *)
+   value first. *)
 
 let rec bits_for n acc = if n <= 1 then acc else bits_for ((n + 1) / 2) (acc + 1)
 

@@ -128,7 +128,25 @@ let kind_name = function
   | Gauge _ -> "gauge"
   | Hist _ -> "histogram"
 
+(* The Prometheus name grammar, [a-zA-Z_:][a-zA-Z0-9_:]*: the exposition
+   format writes names unescaped, so any other character corrupts it. *)
+let valid_name name =
+  name <> ""
+  && (match name.[0] with '0' .. '9' -> false | _ -> true)
+  && String.for_all
+       (function
+         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
+         | _ -> false)
+       name
+
 let register ?label reg ~name ~help kind =
+  let check n =
+    if not (valid_name n) then
+      invalid_arg (Printf.sprintf "Metrics: invalid metric name %S" n)
+  in
+  check name;
+  (* A labeled gauge prints its family and label key raw as well. *)
+  Option.iter (fun (family, key, _) -> check family; check key) label;
   locked reg (fun () ->
       match Hashtbl.find_opt reg.by_name name with
       | Some d ->

@@ -39,14 +39,16 @@ type histogram
 
 val counter : ?registry:registry -> ?help:string -> string -> counter
 (** Register (or look up) a monotonic counter.
-    @raise Invalid_argument if [name] exists with a different kind. *)
+    @raise Invalid_argument if [name] is not a Prometheus metric name
+    ([[a-zA-Z_:][a-zA-Z0-9_:]*]) or exists with a different kind. *)
 
 val gauge :
   ?registry:registry -> ?help:string -> ?agg:[ `Sum | `Max ] -> string -> gauge
 (** Register (or look up) a gauge. [agg] picks the cross-shard merge used
     by {!snapshot}: [`Sum] (default) adds the per-domain cells, [`Max]
     keeps the largest. Re-registration must agree on [agg].
-    @raise Invalid_argument if [name] exists with a different kind/agg. *)
+    @raise Invalid_argument if [name] is not a Prometheus metric name or
+    exists with a different kind/agg. *)
 
 val labeled_gauge :
   ?registry:registry ->
@@ -61,7 +63,8 @@ val labeled_gauge :
     series whose label is not a small integer (e.g. [build_info]'s git
     revision). Identity, JSONL export and lookups stay on [name].
     @raise Invalid_argument on a label mismatch with a prior
-    registration. *)
+    registration, or when [name], [family] or [key] is not a Prometheus
+    metric name. *)
 
 val indexed_gauge :
   ?registry:registry ->
@@ -89,7 +92,8 @@ val histogram :
     implicit overflow cell captures observations above the last bound.
     Default: decades from [1.] to [1e9].
     @raise Invalid_argument on an empty or non-ascending [buckets], or if
-    [name] exists with a different kind or bucket layout. *)
+    [name] is not a Prometheus metric name or exists with a different kind
+    or bucket layout. *)
 
 val add : counter -> int -> unit
 (** Lock-free (per-domain shard) add. Negative deltas are rejected with

@@ -170,7 +170,7 @@ let paper_pe4 = [| 10; 17; 33; 34; 43; 58; 59; 60; 61; 66; 71; 76; 81; 86 |]
 
 let collect_windows ~positions ~tl ~upper =
   let acc = ref [] in
-  Windows.iter_windows ~positions ~tl ~upper
+  Windows.iter_windows ~n:(Array.length positions) ~positions ~tl ~upper
     ~f:(fun ~first ~last -> acc := (first, last) :: !acc)
     ();
   List.rev !acc
@@ -239,11 +239,11 @@ let prop_windows_match_reference =
 let test_binary_span_paper () =
   (* Fig. 8: spanning from index 5 (1-based 6) reaches index 9 (position
      66) since p10 - p6 + 1 = 9 <= 10 and p11 - p6 + 1 = 14 > 10. *)
-  check_int "span" 9 (Windows.binary_span ~positions:paper_pe4 ~upper:10 5)
+  check_int "span" 9 (Windows.binary_span ~n:14 ~positions:paper_pe4 ~upper:10 5)
 
 let test_binary_shift_skips () =
   (* Fig. 10: shifting from window start 0 jumps directly past starts 1-2. *)
-  let i = Windows.binary_shift ~positions:paper_pe4 ~tl:4 ~upper:10 0 in
+  let i = Windows.binary_shift ~n:14 ~positions:paper_pe4 ~tl:4 ~upper:10 0 in
   check_bool "jumps at least to 2" true (i >= 2)
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,5 @@
 (* Tests for the production extensions: top-k, span selection, index codec,
-   chunked (streaming) extraction, parallel extraction, merger/window/lazy
+   chunked (streaming) extraction, parallel extraction, window/lazy
    ablation variants. *)
 
 module Tk = Faerie_tokenize
@@ -634,20 +634,11 @@ let test_parallel_empty_docs () =
 (* Ablation variants agree with the defaults                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_tournament_merger_same_matches () =
-  let problem = ed_problem () in
-  let doc = Problem.tokenize_document problem paper_doc in
-  let a, _ = Single_heap.run problem doc in
-  let b, _ =
-    Single_heap.run ~merger:Faerie_heaps.Multiway.Tournament_tree problem doc
-  in
-  check_bool "equal" true (a = b)
-
 let test_linear_windows_match_binary () =
   let positions = [| 10; 17; 33; 34; 43; 58; 59; 60; 61; 66; 71; 76; 81; 86 |] in
   let collect f =
     let acc = ref [] in
-    f ?n:None ~positions ~tl:4 ~upper:10
+    f ~n:(Array.length positions) ~positions ~tl:4 ~upper:10
       ~f:(fun ~first ~last -> acc := (first, last) :: !acc)
       ();
     List.rev !acc
@@ -672,7 +663,7 @@ let prop_linear_windows_match_binary =
       QCheck.assume (Array.length positions >= tl);
       let collect f =
         let acc = ref [] in
-        f ?n:None ~positions ~tl ~upper
+        f ~n:(Array.length positions) ~positions ~tl ~upper
           ~f:(fun ~first ~last -> acc := (first, last) :: !acc)
           ();
         List.rev !acc
@@ -794,7 +785,6 @@ let () =
         ] );
       ( "ablations",
         [
-          Alcotest.test_case "tournament merger" `Quick test_tournament_merger_same_matches;
           Alcotest.test_case "linear windows" `Quick test_linear_windows_match_binary;
           Alcotest.test_case "paper lazy bound" `Quick test_paper_lazy_bound_same_matches;
           Alcotest.test_case "multi-heap algorithms" `Quick test_multi_heap_algorithms_agree;

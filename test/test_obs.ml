@@ -248,8 +248,11 @@ let test_metrics_jsonl_schema () =
    ^ "{\"type\":\"histogram\",\"name\":\"gamma\",\"upper\":[1,2],\"counts\":[1,0,1],\"sum\":3.5,\"count\":2}\n"
     )
     (Metrics.to_jsonl ~registry:reg ());
-  Metrics.add (Metrics.counter ~registry:reg hostile) 1;
-  let lines = parse_jsonl "metrics" (Metrics.to_jsonl ~registry:reg ()) in
+  (* Registration refuses such a name, but a snapshot is plain data (it
+     crosses the shard pipe), so the renderer still escapes what it gets. *)
+  let snap = Metrics.snapshot ~registry:reg () in
+  let snap = { snap with counters = snap.counters @ [ (hostile, 1) ] } in
+  let lines = parse_jsonl "metrics" (Metrics.render_jsonl snap) in
   check_bool "hostile name parses back unchanged" true
     (List.exists (fun j -> str_member "name" j = Some hostile) lines)
 
@@ -842,6 +845,34 @@ let test_prometheus_hostile_help () =
   Metrics.add c 2;
   check_string "help newline and backslash escaped"
     "# HELP hostile line1\\nline2\\\\end\n# TYPE hostile counter\nhostile 2\n"
+    (Metrics.to_prometheus ~registry:reg ())
+
+(* The exposition format writes names raw: a name outside Prometheus's
+   grammar would print a broken [# TYPE] line, so registration refuses it
+   and leaves the registry empty. *)
+let test_metric_name_rejected () =
+  let reg = Metrics.create () in
+  let rejects what register =
+    check_bool what true
+      (match register () with
+      | () -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let bad = "bad name\"x\ny" in
+  rejects "counter with space, quote and newline" (fun () ->
+      ignore (Metrics.counter ~registry:reg bad));
+  rejects "gauge" (fun () -> ignore (Metrics.gauge ~registry:reg bad));
+  rejects "histogram" (fun () -> ignore (Metrics.histogram ~registry:reg bad));
+  rejects "labeled gauge family" (fun () ->
+      ignore
+        (Metrics.labeled_gauge ~registry:reg ~label:(bad, "k", "v") "fine_name"));
+  rejects "leading digit" (fun () -> ignore (Metrics.counter ~registry:reg "9x"));
+  rejects "empty" (fun () -> ignore (Metrics.counter ~registry:reg ""));
+  check_string "nothing registered" "" (Metrics.to_prometheus ~registry:reg ());
+  let ok = Metrics.counter ~registry:reg "ok_name:sub_1" in
+  Metrics.add ok 1;
+  check_string "colon, underscore and digits accepted"
+    "# TYPE ok_name:sub_1 counter\nok_name:sub_1 1\n"
     (Metrics.to_prometheus ~registry:reg ())
 
 let test_trace_drain_cross_domain () =
@@ -1563,6 +1594,8 @@ let () =
             test_gauge_max_merge;
           Alcotest.test_case "prometheus escapes hostile help strings" `Quick
             test_prometheus_hostile_help;
+          Alcotest.test_case "metric names outside the Prometheus grammar"
+            `Quick test_metric_name_rejected;
           Alcotest.test_case "with_suppressed nests across an exception"
             `Quick test_suppressed_nesting_exception;
         ] );
